@@ -53,7 +53,6 @@ from .entropy import (
     knn_entropy,
     knn_neighbor_distances,
     knn_total_edge_length,
-    sliding_window_entropy,
 )
 from .gradients import GradientStats, gradient_stats, snr_from_gradients, snr_two_component
 from .sphere import (

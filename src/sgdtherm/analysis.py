@@ -122,7 +122,6 @@ def kernel_smooth_gaussian_logtime(ts, ys, sigma: float) -> np.ndarray:
 
 def extract_stationary(
     log: TrajectoryLog,
-    entropy_series: tuple[np.ndarray, np.ndarray] | None = None,
     tail_fraction: float = 0.5,
 ) -> StationaryEstimate:
     """Reduce a trajectory to tail means/dispersions of loss and entropy.
@@ -134,11 +133,7 @@ def extract_stationary(
     """
     if not 0.0 < tail_fraction <= 0.5:
         raise InvalidConfig("tail_fraction must lie in (0, 0.5]")
-    if entropy_series is None:
-        entropy_series = log.entropy_series()
-    ent_iters, ent_vals = entropy_series
-    ent_iters = np.asarray(ent_iters)
-    ent_vals = np.asarray(ent_vals, dtype=float)
+    ent_iters, ent_vals = log.entropy_iters, log.entropies
 
     final = log.final_iter
     cutoff = (1.0 - tail_fraction) * final

@@ -108,7 +108,6 @@ class ExperimentConfig:
     loss_stop_threshold: float = 0.0
     k: int = 50
     window: int = 1000
-    stride: int = 1000
     epsilon: float = 1e-2
     tail_fraction: float = 0.5
     smoothing_h: float = 0.3
@@ -123,6 +122,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"[model] kind must be one of {MODEL_KINDS}, got {self.model!r}")
         if len(self.lr_grid) == 0:
             raise InvalidConfig("[grid] lrs must not be empty")
+        if not all(math.isfinite(lr) for lr in self.lr_grid):
+            raise InvalidConfig("[grid] lrs must all be finite")
         if any(lr <= 0 for lr in self.lr_grid):
             raise InvalidConfig("[grid] lrs must all be positive")
         if any(b <= a for a, b in zip(self.lr_grid, self.lr_grid[1:])):
@@ -134,6 +135,10 @@ class ExperimentConfig:
             raise InvalidConfig("[analysis] lr_range lower bound exceeds upper bound")
         if self.baseline_seeds < 2:
             raise InvalidConfig("[analysis] baseline_seeds must be >= 2")
+        if self.seed < 0:
+            raise InvalidConfig("[sgd] seed must be >= 0")
+        if self.model_seed < 0:
+            raise InvalidConfig("[model] model_seed must be >= 0")
 
     def ensemble(self):
         if self.model == "toy_op":
@@ -157,7 +162,7 @@ class ExperimentConfig:
         )
 
     def entropy_config(self) -> EntropyConfig:
-        return EntropyConfig(k=self.k, window=self.window, stride=self.stride)
+        return EntropyConfig(k=self.k, window=self.window)
 
     def lr_seed(self, index: int) -> int:
         """Deterministic per-learning-rate seed derived from the root seed."""
@@ -187,7 +192,6 @@ loss_stop_threshold = 0.0
 [entropy]
 k = 50
 window = 1000
-stride = 1000
 
 [analysis]
 epsilon = 0.01
@@ -256,7 +260,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         loss_stop_threshold=_get(parser, "sgd", "loss_stop_threshold", float, 0.0),
         k=_get(parser, "entropy", "k", int, 50),
         window=_get(parser, "entropy", "window", int, 1000),
-        stride=_get(parser, "entropy", "stride", int, 1000),
         epsilon=_get(parser, "analysis", "epsilon", float, 1e-2),
         tail_fraction=_get(parser, "analysis", "tail_fraction", float, 0.5),
         smoothing_h=_get(parser, "analysis", "smoothing_h", float, 0.3),
@@ -291,7 +294,6 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
         "[entropy]",
         f"k = {cfg.k}",
         f"window = {cfg.window}",
-        f"stride = {cfg.stride}",
         "",
         "[analysis]",
         f"epsilon = {fmt(cfg.epsilon)}",
@@ -326,37 +328,43 @@ def _run_one(cfg: ExperimentConfig, index: int):
     return index, log, est
 
 
-def write_series(path: Path, log) -> None:
-    ent_by_iter = dict(zip(log.entropy_iters.tolist(), log.entropies.tolist()))
+def _write_csv(path: Path, header, rows) -> None:
+    """The one CSV byte format: UTF-8, "\n" line endings, a header row first."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_HEADER)
-        for i in range(log.iters.size):
-            it = int(log.iters[i])
-            ent = ent_by_iter.get(it)
-            writer.writerow([
-                str(it),
-                fmt(float(log.losses[i])),
-                fmt(float(log.full_grad_norms[i])),
-                fmt(float(log.stoch_grad_norms[i])),
-                fmt(float(log.snrs[i])),
-                "" if ent is None else fmt(ent),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_series(path: Path, log) -> None:
+    ent_by_iter = dict(zip(log.entropy_iters.tolist(), log.entropies.tolist()))
+    rows = []
+    for i in range(log.iters.size):
+        it = int(log.iters[i])
+        ent = ent_by_iter.get(it)
+        rows.append([
+            str(it),
+            fmt(float(log.losses[i])),
+            fmt(float(log.full_grad_norms[i])),
+            fmt(float(log.stoch_grad_norms[i])),
+            fmt(float(log.snrs[i])),
+            "" if ent is None else fmt(ent),
+        ])
+    _write_csv(path, SERIES_HEADER, rows)
 
 
 def write_summary(path: Path, rows: list[tuple[float, StationaryEstimate | None]]) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for lr, est in rows:
-            if est is None:
-                writer.writerow([fmt(lr), "nan", "nan", "nan", "nan", "false"])
-            else:
-                writer.writerow([
-                    fmt(lr), fmt(est.loss_mean), fmt(est.loss_std),
-                    fmt(est.entropy_mean), fmt(est.entropy_std),
-                    "true" if est.stabilized else "false",
-                ])
+    out = []
+    for lr, est in rows:
+        if est is None:
+            out.append([fmt(lr), "nan", "nan", "nan", "nan", "false"])
+        else:
+            out.append([
+                fmt(lr), fmt(est.loss_mean), fmt(est.loss_std),
+                fmt(est.entropy_mean), fmt(est.entropy_std),
+                "true" if est.stabilized else "false",
+            ])
+    _write_csv(path, SUMMARY_HEADER, out)
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
@@ -411,20 +419,14 @@ def read_series(path: Path) -> dict[str, np.ndarray]:
     return {name: np.asarray(vals) for name, vals in cols.items()}
 
 
-def _baseline_stats(cfg: ExperimentConfig, ensemble) -> tuple[float, float, float, float]:
-    """Mean/std of the uniform-sphere (loss, entropy) baseline over seeds."""
-    losses, entropies = [], []
+def _baseline_rows(cfg: ExperimentConfig, ensemble) -> list[tuple[int, float, float]]:
+    """(seed, loss, entropy) of the uniform-sphere baseline, one row per baseline seed."""
+    rows = []
     for i in range(cfg.baseline_seeds):
         seed = int(np.random.SeedSequence([int(cfg.seed), 10_000 + i]).generate_state(1, np.uint64)[0])
         u, s = uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)
-        losses.append(u)
-        entropies.append(s)
-    losses = np.asarray(losses)
-    entropies = np.asarray(entropies)
-    return (
-        float(losses.mean()), float(losses.std(ddof=1)),
-        float(entropies.mean()), float(entropies.std(ddof=1)),
-    )
+        rows.append((seed, u, s))
+    return rows
 
 
 def analyze(
@@ -450,7 +452,8 @@ def analyze(
     all_estimates = read_summary(exp / "summary.csv")
     usable = [e for e in all_estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
     ensemble = cfg.ensemble()
-    _, _, base_s, base_s_std = _baseline_stats(cfg, ensemble)
+    base_ents = np.array([s for _, _, s in _baseline_rows(cfg, ensemble)])
+    base_s, base_s_std = float(base_ents.mean()), float(base_ents.std(ddof=1))
 
     kept_idx, exclusions = select_stationary_range(usable, base_s, base_s_std, lr_range)
     for e in all_estimates:
@@ -483,22 +486,20 @@ def analyze(
             replace_estimate(e, u, s)
             for e, u, s in zip(retained, u_smooth, s_smooth)
         ]
-        with open(out / "smoothed.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lr", "U", "S", "U_smooth", "S_smooth"])
-            for e, u, s in zip(retained, u_smooth, s_smooth):
-                writer.writerow([fmt(e.lr), fmt(e.loss_mean), fmt(e.entropy_mean), fmt(u), fmt(s)])
+        _write_csv(out / "smoothed.csv", ["lr", "U", "S", "U_smooth", "S_smooth"], [
+            [fmt(e.lr), fmt(e.loss_mean), fmt(e.entropy_mean), fmt(u), fmt(s)]
+            for e, u, s in zip(retained, u_smooth, s_smooth)
+        ])
 
         curve = temperature_curve(smoothed, epsilon)
-        with open(out / "temperature.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TEMPERATURE_HEADER)
-            for iv in curve.intervals:
-                writer.writerow([
-                    fmt(iv.lr), fmt(iv.t_lo), fmt(iv.t_hi),
-                    "true" if iv.bound_only else "false",
-                    "true" if iv.empty else "false",
-                ])
+        _write_csv(out / "temperature.csv", TEMPERATURE_HEADER, [
+            [
+                fmt(iv.lr), fmt(iv.t_lo), fmt(iv.t_hi),
+                "true" if iv.bound_only else "false",
+                "true" if iv.empty else "false",
+            ]
+            for iv in curve.intervals
+        ])
         verdicts["temperature_curve"] = curve
         report_lines.append(f"monotone temperature: {'true' if curve.monotone else 'false'}")
 
@@ -519,16 +520,16 @@ def analyze(
             picks = sorted({finite_mids[len(finite_mids) // 4].midpoint,
                             finite_mids[len(finite_mids) // 2].midpoint,
                             finite_mids[(3 * len(finite_mids)) // 4].midpoint})
-            with open(out / "free_energy.csv", "w", newline="\n", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["temperature", "lr", "free_energy", "is_argmin"])
-                for t in picks:
-                    f_vals, argmin = free_energy_curve(smoothed, t)
-                    for i, e in enumerate(smoothed):
-                        writer.writerow([
-                            fmt(t), fmt(e.lr), fmt(float(f_vals[i])),
-                            "true" if i == argmin else "false",
-                        ])
+            fe_rows = []
+            for t in picks:
+                f_vals, argmin = free_energy_curve(smoothed, t)
+                for i, e in enumerate(smoothed):
+                    fe_rows.append([
+                        fmt(t), fmt(e.lr), fmt(float(f_vals[i])),
+                        "true" if i == argmin else "false",
+                    ])
+            _write_csv(out / "free_energy.csv",
+                       ["temperature", "lr", "free_energy", "is_argmin"], fe_rows)
 
     # Finite-difference temperature and gradient phase diagram for runs that
     # never reached stationarity (the converging regime).
@@ -558,21 +559,17 @@ def analyze(
             law_rows.append((e.lr, law))
 
     if fd_rows:
-        with open(out / "fd_temperature.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lr", "iter", "temperature"])
-            for lr, it, t in fd_rows:
-                writer.writerow([fmt(lr), str(it), fmt(float(t))])
+        _write_csv(out / "fd_temperature.csv", ["lr", "iter", "temperature"],
+                   [[fmt(lr), str(it), fmt(float(t))] for lr, it, t in fd_rows])
         report_lines.append(
             f"finite-difference temperature series written for "
             f"{len({lr for lr, _, _ in fd_rows})} non-stabilized learning rates"
         )
     if law_rows:
-        with open(out / "phase_law.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lr", "coefficient", "exponent", "r_squared"])
-            for lr, law in law_rows:
-                writer.writerow([fmt(lr), fmt(law.coefficient), fmt(law.exponent), fmt(law.r_squared)])
+        _write_csv(out / "phase_law.csv", ["lr", "coefficient", "exponent", "r_squared"], [
+            [fmt(lr), fmt(law.coefficient), fmt(law.exponent), fmt(law.r_squared)]
+            for lr, law in law_rows
+        ])
         for lr, law in law_rows:
             report_lines.append(
                 f"gradient phase-diagram power law at lr={fmt(lr)}: exponent {law.exponent:.4f}"
@@ -710,19 +707,11 @@ def _cmd_baseline(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    ensemble = cfg.ensemble()
-    rows = []
-    for i in range(cfg.baseline_seeds):
-        seed = int(np.random.SeedSequence([int(cfg.seed), 10_000 + i]).generate_state(1, np.uint64)[0])
-        u, s = uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)
-        rows.append((seed, u, s))
+    rows = _baseline_rows(cfg, cfg.ensemble())
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "baseline.csv", "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "U", "S"])
-        for seed, u, s in rows:
-            writer.writerow([str(seed), fmt(u), fmt(s)])
+    _write_csv(out / "baseline.csv", ["seed", "U", "S"],
+               [[str(seed), fmt(u), fmt(s)] for seed, u, s in rows])
     us = np.array([r[1] for r in rows])
     ss = np.array([r[2] for r in rows])
     print(f"uniform-sphere baseline over {len(rows)} seeds (n={cfg.window}, k={cfg.k}):")

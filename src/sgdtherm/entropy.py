@@ -26,23 +26,21 @@ _CHUNK_ROWS = 2048
 
 @dataclass(frozen=True)
 class EntropyConfig:
-    """k-NN entropy settings and the sliding-window layout over trajectories."""
+    """k-NN entropy settings: `k` neighbors over a window of `window` iterates.
+
+    A trajectory's entropy window is the trailing `window` iterates, read at
+    each checkpoint once that many have been taken (see
+    `sphere.run_trajectory`).
+    """
 
     k: int = 50
     window: int = 1000
-    stride: int | None = None  # None: disjoint windows (stride = window)
 
     def __post_init__(self):
         if self.k < 1:
             raise InvalidConfig("k must be >= 1")
         if self.window <= self.k:
             raise InvalidConfig("window must exceed k")
-        if self.stride is not None and self.stride < 1:
-            raise InvalidConfig("stride must be >= 1")
-
-    @property
-    def effective_stride(self) -> int:
-        return self.window if self.stride is None else self.stride
 
 
 def _as_sample_matrix(samples) -> np.ndarray:
@@ -100,30 +98,3 @@ def knn_entropy(samples, k: int, dim: int | None = None) -> float:
         raise NonPositiveEdgeLength("all samples identical: entropy estimate is -inf")
     return float(d * np.log(total) - (d - 1) * np.log(n))
 
-
-def sliding_window_entropy(
-    snapshots, cfg: EntropyConfig, iters: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entropy of consecutive windows over an ordered snapshot matrix.
-
-    Windows hold cfg.window consecutive rows and advance by cfg.stride
-    (default: disjoint).  Each estimate is anchored to the iteration of the
-    window's final row; `iters` defaults to 1..N.  Returns (anchors, values).
-    """
-    x = _as_sample_matrix(snapshots)
-    n = x.shape[0]
-    if n < cfg.window:
-        raise TooFewSamples(f"need at least window={cfg.window} snapshots, got {n}")
-    if iters is None:
-        iters = np.arange(1, n + 1, dtype=np.int64)
-    else:
-        iters = np.asarray(iters)
-        if iters.shape[0] != n:
-            raise InvalidConfig("iters must align with snapshots")
-    stride = cfg.effective_stride
-    anchors, values = [], []
-    for start in range(0, n - cfg.window + 1, stride):
-        block = x[start : start + cfg.window]
-        anchors.append(iters[start + cfg.window - 1])
-        values.append(knn_entropy(block, cfg.k))
-    return np.asarray(anchors), np.asarray(values, dtype=float)

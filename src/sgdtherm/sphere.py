@@ -10,7 +10,7 @@ uniformly in log scale, plus iteration 1 and the final iteration.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,12 +115,16 @@ def checkpoint_schedule(total_iters: int, per_decade: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class TrajectoryLog:
-    """Per-checkpoint metrics plus the weight snapshots kept for entropy windows.
+    """Per-checkpoint metrics plus the last entropy window of the run.
 
-    `snrs` holds NaN where the SNR is undefined (zero gradient variance);
-    `entropies` holds -inf where a window collapsed to identical points.
-    Checkpoint iterations are strictly increasing and include the final
-    executed iteration.
+    `entropies[j]` is the k-NN entropy of the trailing `window` iterates at
+    checkpoint `entropy_iters[j]`; checkpoints before the window has filled
+    have no entropy.  `snapshots` holds the trailing iterates (at most
+    `window`) at the final iteration, so its last row is iteration
+    `final_iter`.  `snrs` holds NaN where the SNR is undefined (zero gradient
+    variance); `entropies` holds -inf where a window collapsed to identical
+    points.  Checkpoint iterations are strictly increasing and include the
+    final executed iteration.
     """
 
     iters: np.ndarray
@@ -130,11 +134,9 @@ class TrajectoryLog:
     snrs: np.ndarray
     entropy_iters: np.ndarray
     entropies: np.ndarray
-    snapshot_iters: np.ndarray
     snapshots: np.ndarray
     stopped_early: bool
     config: SgdConfig
-    entropy_config: EntropyConfig = field(default_factory=EntropyConfig)
 
     @property
     def final_iter(self) -> int:
@@ -144,26 +146,22 @@ class TrajectoryLog:
     def final_loss(self) -> float:
         return float(self.losses[-1])
 
-    def entropy_series(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.entropy_iters, self.entropies
-
 
 def run_trajectory(
     ensemble,
     init: np.ndarray,
     cfg: SgdConfig,
     entropy: EntropyConfig | None = None,
-    keep_all_snapshots: bool = False,
     rng: np.random.Generator | None = None,
 ) -> TrajectoryLog:
     """Run projected SGD (or plain descent for unconstrained ensembles).
 
     The trailing `entropy.window` weights are kept in a ring buffer; at every
     checkpoint with a full buffer the k-NN entropy of the buffer is logged,
-    anchored to the checkpoint iteration.  The buffer contents at the final
-    iteration are returned as `snapshots` (all iterations are returned when
-    `keep_all_snapshots` is set).  Stops early once the full-ensemble loss
-    falls below `cfg.loss_stop_threshold` (when nonzero).
+    anchored to the checkpoint iteration.  This ring is the only entropy
+    window; its contents at the final iteration are returned as `snapshots`.
+    Stops early once the full-ensemble loss falls below
+    `cfg.loss_stop_threshold` (when nonzero).
     """
     entropy = entropy or EntropyConfig()
     if rng is None:
@@ -186,7 +184,6 @@ def run_trajectory(
     next_cp = 0
 
     ring: deque[np.ndarray] = deque(maxlen=entropy.window)
-    all_snaps: list[np.ndarray] = []
 
     iters, losses, g_norms, s_norms, snrs = [], [], [], [], []
     ent_iters, ent_vals = [], []
@@ -231,8 +228,6 @@ def run_trajectory(
         else:
             w = w - lr * g
         ring_append(w.copy())
-        if keep_all_snapshots:
-            all_snaps.append(w.copy())
 
         at_checkpoint = next_cp < n_schedule and t == schedule[next_cp]
         if at_checkpoint:
@@ -244,14 +239,6 @@ def run_trajectory(
             stopped = True
             break
 
-    if keep_all_snapshots:
-        snaps = np.asarray(all_snaps)
-        snap_iters = np.arange(1, snaps.shape[0] + 1, dtype=np.int64)
-    else:
-        snaps = np.asarray(ring)
-        last = iters[-1]
-        snap_iters = np.arange(last - snaps.shape[0] + 1, last + 1, dtype=np.int64)
-
     return TrajectoryLog(
         iters=np.asarray(iters, dtype=np.int64),
         losses=np.asarray(losses, dtype=float),
@@ -260,11 +247,9 @@ def run_trajectory(
         snrs=np.asarray(snrs, dtype=float),
         entropy_iters=np.asarray(ent_iters, dtype=np.int64),
         entropies=np.asarray(ent_vals, dtype=float),
-        snapshot_iters=snap_iters,
-        snapshots=snaps,
+        snapshots=np.asarray(ring),
         stopped_early=stopped,
         config=cfg,
-        entropy_config=entropy,
     )
 
 
@@ -272,7 +257,6 @@ def run_seeded(
     ensemble,
     cfg: SgdConfig,
     entropy: EntropyConfig | None = None,
-    keep_all_snapshots: bool = False,
 ) -> TrajectoryLog:
     """Draw a uniform-sphere initial point from cfg.seed, then run the trajectory.
 
@@ -281,7 +265,4 @@ def run_seeded(
     """
     rng = np.random.default_rng(cfg.seed)
     init = random_unit_vector(ensemble.dim, rng)
-    return run_trajectory(
-        ensemble, init, cfg, entropy=entropy,
-        keep_all_snapshots=keep_all_snapshots, rng=rng,
-    )
+    return run_trajectory(ensemble, init, cfg, entropy=entropy, rng=rng)

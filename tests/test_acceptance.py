@@ -150,7 +150,7 @@ class TestCriterion4ToyOpConvergence:
 
     def test_fd_temperature_decays(self, op_run_fast):
         log = op_run_fast
-        ent_iters, ent_vals = log.entropy_series()
+        ent_iters, ent_vals = log.entropy_iters, log.entropies
         loss_at = dict(zip(log.iters.tolist(), log.losses.tolist()))
         u = np.array([loss_at[int(i)] for i in ent_iters])
         idx, t = st.finite_difference_temperature(u, ent_vals, dt=2)
@@ -308,7 +308,7 @@ class TestCriterion11Determinism:
     def test_cli_outputs_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(
             model="toy_op", lr_grid=(4.8e-3, 2.3e-2), batch_size=1, total_iters=3000,
-            seed=77, k=20, window=400, stride=400, baseline_seeds=2,
+            seed=77, k=20, window=400, baseline_seeds=2,
             output_dir=str(tmp_path / "unused"),
         )
         out1 = run_grid(cfg, out_dir=tmp_path / "a")

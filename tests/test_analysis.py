@@ -92,7 +92,6 @@ class TestExtractStationary:
             snrs=np.zeros(k),
             entropy_iters=iters,
             entropies=np.full(k, -3.0),
-            snapshot_iters=np.arange(1, 11),
             snapshots=np.zeros((10, 3)),
             stopped_early=False,
             config=st.SgdConfig(learning_rate=0.01, total_iters=total, seed=0),

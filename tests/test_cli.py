@@ -258,9 +258,22 @@ class TestMainEntryPoint:
         b = (tmp_path / "b" / "summary.csv").read_bytes()
         assert a != b
 
-    def test_invalid_config_exits_2(self, tmp_path):
-        bad = write_config(tmp_path, TOY_OP_SMALL.replace("kind = toy_op", "kind = bogus"))
-        assert main(["run", "--config", str(bad)]) == 2
+    @pytest.mark.parametrize("old, new, extra", [
+        ("kind = toy_op", "kind = bogus", []),
+        ("seed = 77", "seed = -1", []),
+        ("kind = toy_op", "kind = toy_op\nmodel_seed = -1", []),
+        ("lrs = 4.8e-3, 1.1e-2, 2.3e-2", "lrs = nan", []),
+        ("lrs = 4.8e-3, 1.1e-2, 2.3e-2", "lrs = inf", []),
+        ("lrs = 4.8e-3, 1.1e-2, 2.3e-2", "lrs = -inf", []),
+        ("", "", ["--seed", "-1"]),
+    ], ids=["bad-kind", "negative-seed", "negative-model-seed",
+            "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag"])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, old, new, extra):
+        bad = write_config(tmp_path, TOY_OP_SMALL.replace(old, new, 1) if old else TOY_OP_SMALL)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "exp"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_missing_experiment_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2

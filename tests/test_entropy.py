@@ -78,31 +78,27 @@ class TestKnnEntropy:
 
 
 class TestSlidingWindowEntropy:
-    def test_exactly_one_window_at_boundary(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((100, 3))
-        anchors, values = st.sliding_window_entropy(x, st.EntropyConfig(k=5, window=100))
-        assert anchors.tolist() == [100]
-        assert values.shape == (1,)
+    """The trajectory's entropy window: the trailing `window` iterates at each checkpoint."""
 
-    def test_window_count_and_anchors_with_stride(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((350, 2))
-        cfg = st.EntropyConfig(k=5, window=100, stride=50)
-        anchors, values = st.sliding_window_entropy(x, cfg)
-        assert anchors.tolist() == [100, 150, 200, 250, 300, 350]
+    def test_exactly_one_window_at_boundary(self, toy_up):
+        """A run exactly one window long logs one entropy, at its final iteration."""
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=100, seed=6)
+        log = st.run_seeded(toy_up, cfg, entropy=st.EntropyConfig(k=5, window=100))
+        assert log.entropy_iters.tolist() == [100]
+        assert log.entropies.shape == (1,)
 
-    def test_too_few_snapshots(self):
-        with pytest.raises(TooFewSamples):
-            st.sliding_window_entropy(np.zeros((10, 2)), st.EntropyConfig(k=2, window=20))
+    def test_too_few_snapshots(self, toy_up):
+        """A run shorter than the window never fills it and logs no entropy."""
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=19, seed=6)
+        log = st.run_seeded(toy_up, cfg, entropy=st.EntropyConfig(k=2, window=20))
+        assert log.iters[-1] == 19
+        assert log.entropy_iters.size == 0 and log.entropies.size == 0
 
     def test_uniform_sphere_self_consistency(self):
         """Window estimate within 3 bootstrap sigmas of an independent same-size sample."""
         window = st.uniform_sphere_samples(3, 1000, np.random.default_rng(100))
         independent = st.uniform_sphere_samples(3, 1000, np.random.default_rng(200))
-        cfg = st.EntropyConfig(k=50, window=1000)
-        _, values = st.sliding_window_entropy(window, cfg)
-        s_window = values[0]
+        s_window = st.knn_entropy(window, 50)
         s_independent = st.knn_entropy(independent, 50)
         boot_rng = np.random.default_rng(300)
         boots = []
@@ -116,11 +112,10 @@ class TestSlidingWindowEntropy:
         """Once the loss is deep in the basin, successive window entropies fall."""
         cfg = st.SgdConfig(learning_rate=4.8e-3, total_iters=50_000, seed=3,
                            loss_stop_threshold=1e-16)
-        log = st.run_seeded(toy_op, cfg, keep_all_snapshots=True)
-        anchors, values = st.sliding_window_entropy(
-            log.snapshots, st.EntropyConfig(k=50, window=1000), log.snapshot_iters
-        )
+        log = st.run_seeded(toy_op, cfg, entropy=st.EntropyConfig(k=50, window=1000))
+        anchors, values = log.entropy_iters, log.entropies
         assert values.size >= 5
+        assert np.all(np.isfinite(values[-5:]))
         last5 = values[-5:]
         assert np.all(np.diff(last5) < 0)
         # the decrease indeed happens after the loss has collapsed
@@ -147,4 +142,3 @@ class TestEntropyConfig:
     def test_defaults(self):
         cfg = st.EntropyConfig()
         assert cfg.k == 50 and cfg.window == 1000
-        assert cfg.effective_stride == 1000

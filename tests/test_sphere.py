@@ -129,7 +129,8 @@ class TestRunTrajectory:
     def test_unit_norm_at_every_checkpoint(self, toy_up):
         cfg = st.SgdConfig(learning_rate=0.3, total_iters=3000, seed=1)
         log = st.run_trajectory(toy_up, st.random_unit_vector(3, np.random.default_rng(4)),
-                                cfg, keep_all_snapshots=True)
+                                cfg, entropy=st.EntropyConfig(k=10, window=cfg.total_iters))
+        assert log.snapshots.shape == (3000, 3)  # the ring holds every iterate
         norms = np.linalg.norm(log.snapshots, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
 
@@ -149,7 +150,8 @@ class TestRunTrajectory:
     def test_zero_gradient_start_stays_constant(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0)
         log = st.run_trajectory(toy_op, np.array([0.0, 0.0, 1.0]), cfg,
-                                keep_all_snapshots=True)
+                                entropy=st.EntropyConfig(k=10, window=cfg.total_iters))
+        assert log.snapshots.shape == (50, 3)
         assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
         assert np.all(log.losses == 0.0)
 
@@ -177,7 +179,7 @@ class TestRunTrajectory:
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=1500, seed=8)
         log = st.run_seeded(toy_up, cfg, entropy=ecfg)
         assert log.snapshots.shape == (200, 3)
-        assert log.snapshot_iters[-1] == 1500
+        assert log.final_iter == 1500  # the ring's last row is the final iterate
         # final checkpoint's entropy equals the estimate over the retained window
         assert log.entropy_iters[-1] == 1500
         np.testing.assert_allclose(
