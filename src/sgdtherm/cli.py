@@ -11,10 +11,12 @@ analyze         reduce an experiment directory to smoothed curves,
 baseline        uniform-sphere loss/entropy reference values for the model
 verify-oracles  closed-form identity checks; nonzero exit on failure
 
-The config file is INI-style with one section per subsystem; see
-`default_config_text()`.  All numeric output is written with 17 significant
-digits, and a normalized copy of the configuration is stored next to the
-results so any run can be replayed byte-identically.
+The config file is INI-style with one section per subsystem; `INI_SECTIONS`
+lists every key, and every key is optional.  `ExperimentConfig` holds the
+defaults and checks the whole config before anything is written.  All numeric
+output is written with 17 significant digits, and a normalized copy of the
+configuration is stored next to the results so any run can be replayed
+byte-identically.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid config or I/O error.
 """
@@ -27,7 +29,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,20 @@ TEMPERATURE_HEADER = ["lr", "t_lo", "t_hi", "bound_only", "empty"]
 
 MODEL_KINDS = ("toy_op", "toy_up", "hyperplane", "quadratic")
 
+# The INI file: each [section] with the ExperimentConfig fields it holds, in
+# file order, and the keys that differ from their field names.  Defaults live
+# only in ExperimentConfig.
+INI_SECTIONS = {
+    "model": ("model", "dim", "components", "model_seed", "hessian_scale"),
+    "grid": ("lr_grid",),
+    "sgd": ("batch_size", "total_iters", "seed", "checkpoints_per_decade", "loss_stop_threshold"),
+    "entropy": ("k", "window"),
+    "analysis": ("epsilon", "tail_fraction", "smoothing_h", "smoothing_sigma", "fd_dt",
+                 "lr_range", "baseline_seeds"),
+    "output": ("output_dir",),
+}
+INI_KEYS = {"model": "kind", "lr_grid": "lrs", "output_dir": "dir"}
+
 
 def fmt(x: float) -> str:
     """17-significant-digit float formatting shared by every CSV writer."""
@@ -131,14 +147,32 @@ class ExperimentConfig:
         if self.model in ("hyperplane", "quadratic"):
             if self.dim < 2 or self.components < 1:
                 raise InvalidConfig("[model] dim must be >= 2 and components >= 1")
-        if self.lr_range is not None and self.lr_range[0] > self.lr_range[1]:
-            raise InvalidConfig("[analysis] lr_range lower bound exceeds upper bound")
+        if self.lr_range is not None:
+            if not all(math.isfinite(b) for b in self.lr_range):
+                raise InvalidConfig("[analysis] lr_range bounds must be finite")
+            if self.lr_range[0] > self.lr_range[1]:
+                raise InvalidConfig("[analysis] lr_range lower bound exceeds upper bound")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise InvalidConfig("[analysis] epsilon must be finite and >= 0")
+        if not 0.0 < self.tail_fraction <= 0.5:
+            raise InvalidConfig("[analysis] tail_fraction must lie in (0, 0.5]")
+        if not (self.smoothing_h > 0 and self.smoothing_sigma > 0):
+            raise InvalidConfig("[analysis] smoothing_h and smoothing_sigma must be positive")
+        if self.fd_dt < 1:
+            raise InvalidConfig("[analysis] fd_dt must be >= 1")
         if self.baseline_seeds < 2:
             raise InvalidConfig("[analysis] baseline_seeds must be >= 2")
         if self.seed < 0:
             raise InvalidConfig("[sgd] seed must be >= 0")
         if self.model_seed < 0:
             raise InvalidConfig("[model] model_seed must be >= 0")
+        # The simulation's own checks, run here so that nothing is written
+        # before a bad config is rejected.
+        self.entropy_config()
+        self.sgd_config(self.lr_grid[0], self.seed)
+        size = len(self.ensemble())
+        if self.batch_size > size:
+            raise InvalidConfig(f"[sgd] batch_size {self.batch_size} exceeds the ensemble size {size}")
 
     def ensemble(self):
         if self.model == "toy_op":
@@ -170,53 +204,13 @@ class ExperimentConfig:
         return int(ss.generate_state(1, np.uint64)[0])
 
 
-def default_config_text() -> str:
-    return """\
-[model]
-kind = toy_op
-dim = 3
-components = 2
-model_seed = 7
-hessian_scale = 1.0
-
-[grid]
-lrs = default
-
-[sgd]
-batch_size = 1
-total_iters = 50000
-seed = 1234
-checkpoints_per_decade = 20
-loss_stop_threshold = 0.0
-
-[entropy]
-k = 50
-window = 1000
-
-[analysis]
-epsilon = 0.01
-tail_fraction = 0.5
-smoothing_h = 0.3
-smoothing_sigma = 0.1
-fd_dt = 2
-lr_range =
-baseline_seeds = 8
-
-[output]
-dir = runs/experiment
-"""
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise InvalidConfig(f"[{section}] {key}: cannot parse {raw!r}") from exc
+def _parse_lrs(raw: str) -> tuple[float, ...]:
+    if raw == "default":
+        return tuple(DEFAULT_LR_GRID)
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _parse_lr_range(raw: str) -> tuple[float, float]:
@@ -227,88 +221,51 @@ def _parse_lr_range(raw: str) -> tuple[float, float]:
         raise InvalidConfig(f"lr_range must look like 'lo:hi', got {raw!r}") from exc
 
 
+_PARSERS = {"lr_grid": _parse_lrs, "lr_range": _parse_lr_range}
+
+
+def _format_value(name: str, value) -> str:
+    if name == "lr_grid":
+        return ", ".join(fmt(lr) for lr in value)
+    if name == "lr_range":
+        return "" if value is None else f"{fmt(value[0])}:{fmt(value[1])}"
+    return fmt(value) if isinstance(_DEFAULTS[name], float) else str(value)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read an INI file laid out as `INI_SECTIONS`; absent or blank keys keep their defaults."""
     path = Path(path)
     if not path.exists():
         raise MissingData(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path)
-
-    raw_lrs = _get(parser, "grid", "lrs", str, "default")
-    if raw_lrs == "default":
-        lr_grid = tuple(DEFAULT_LR_GRID)
-    else:
-        try:
-            lr_grid = tuple(float(tok) for tok in raw_lrs.split(",") if tok.strip())
-        except ValueError as exc:
-            raise InvalidConfig(f"[grid] lrs: cannot parse {raw_lrs!r}") from exc
-
-    lr_range_raw = _get(parser, "analysis", "lr_range", str, "")
-    lr_range = _parse_lr_range(lr_range_raw) if lr_range_raw else None
-
-    return ExperimentConfig(
-        model=_get(parser, "model", "kind", str, "toy_op"),
-        dim=_get(parser, "model", "dim", int, 3),
-        components=_get(parser, "model", "components", int, 2),
-        model_seed=_get(parser, "model", "model_seed", int, 7),
-        hessian_scale=_get(parser, "model", "hessian_scale", float, 1.0),
-        lr_grid=lr_grid,
-        batch_size=_get(parser, "sgd", "batch_size", int, 1),
-        total_iters=_get(parser, "sgd", "total_iters", int, 50_000),
-        seed=_get(parser, "sgd", "seed", int, 1234),
-        checkpoints_per_decade=_get(parser, "sgd", "checkpoints_per_decade", int, 20),
-        loss_stop_threshold=_get(parser, "sgd", "loss_stop_threshold", float, 0.0),
-        k=_get(parser, "entropy", "k", int, 50),
-        window=_get(parser, "entropy", "window", int, 1000),
-        epsilon=_get(parser, "analysis", "epsilon", float, 1e-2),
-        tail_fraction=_get(parser, "analysis", "tail_fraction", float, 0.5),
-        smoothing_h=_get(parser, "analysis", "smoothing_h", float, 0.3),
-        smoothing_sigma=_get(parser, "analysis", "smoothing_sigma", float, 0.1),
-        fd_dt=_get(parser, "analysis", "fd_dt", int, 2),
-        lr_range=lr_range,
-        baseline_seeds=_get(parser, "analysis", "baseline_seeds", int, 8),
-        output_dir=_get(parser, "output", "dir", str, "runs/experiment"),
-    )
+    # Values are literal (no "%" interpolation), so save_config output reads back as written.
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    values = {}
+    try:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        for section, names in INI_SECTIONS.items():
+            for name in names:
+                key = INI_KEYS.get(name, name)
+                raw = parser.get(section, key, fallback="").strip()
+                if raw == "":
+                    continue
+                parse = _PARSERS.get(name, type(_DEFAULTS[name]))
+                try:
+                    values[name] = parse(raw)
+                except ValueError as exc:
+                    raise InvalidConfig(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"{path}: {exc}") from exc
+    return ExperimentConfig(**values)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Write a normalized config (explicit lr grid and seed) for exact replay."""
-    lines = [
-        "[model]",
-        f"kind = {cfg.model}",
-        f"dim = {cfg.dim}",
-        f"components = {cfg.components}",
-        f"model_seed = {cfg.model_seed}",
-        f"hessian_scale = {fmt(cfg.hessian_scale)}",
-        "",
-        "[grid]",
-        "lrs = " + ", ".join(fmt(lr) for lr in cfg.lr_grid),
-        "",
-        "[sgd]",
-        f"batch_size = {cfg.batch_size}",
-        f"total_iters = {cfg.total_iters}",
-        f"seed = {cfg.seed}",
-        f"checkpoints_per_decade = {cfg.checkpoints_per_decade}",
-        f"loss_stop_threshold = {fmt(cfg.loss_stop_threshold)}",
-        "",
-        "[entropy]",
-        f"k = {cfg.k}",
-        f"window = {cfg.window}",
-        "",
-        "[analysis]",
-        f"epsilon = {fmt(cfg.epsilon)}",
-        f"tail_fraction = {fmt(cfg.tail_fraction)}",
-        f"smoothing_h = {fmt(cfg.smoothing_h)}",
-        f"smoothing_sigma = {fmt(cfg.smoothing_sigma)}",
-        f"fd_dt = {cfg.fd_dt}",
-        "lr_range = " + ("" if cfg.lr_range is None
-                         else f"{fmt(cfg.lr_range[0])}:{fmt(cfg.lr_range[1])}"),
-        f"baseline_seeds = {cfg.baseline_seeds}",
-        "",
-        "[output]",
-        f"dir = {cfg.output_dir}",
-        "",
-    ]
+    lines = []
+    for section, names in INI_SECTIONS.items():
+        lines.append(f"[{section}]")
+        for name in names:
+            lines.append(f"{INI_KEYS.get(name, name)} = {_format_value(name, getattr(cfg, name))}")
+        lines.append("")
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
@@ -441,13 +398,11 @@ def analyze(
     free_energy.csv, fd_temperature.csv, phase_law.csv and report.txt.
     """
     exp = Path(exp_dir)
+    overrides = {"epsilon": epsilon, "lr_range": lr_range}
+    cfg = replace(load_config(exp / "config.ini"),
+                  **{name: v for name, v in overrides.items() if v is not None})
     out = Path(out_dir) if out_dir is not None else exp
     out.mkdir(parents=True, exist_ok=True)
-    cfg = load_config(exp / "config.ini")
-    if epsilon is None:
-        epsilon = cfg.epsilon
-    if lr_range is None:
-        lr_range = cfg.lr_range
 
     all_estimates = read_summary(exp / "summary.csv")
     usable = [e for e in all_estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
@@ -455,13 +410,13 @@ def analyze(
     base_ents = np.array([s for _, _, s in _baseline_rows(cfg, ensemble)])
     base_s, base_s_std = float(base_ents.mean()), float(base_ents.std(ddof=1))
 
-    kept_idx, exclusions = select_stationary_range(usable, base_s, base_s_std, lr_range)
+    kept_idx, exclusions = select_stationary_range(usable, base_s, base_s_std, cfg.lr_range)
     for e in all_estimates:
         if e not in usable:
             exclusions.append((e.lr, "no stationary estimate"))
     retained = [usable[i] for i in kept_idx]
 
-    report_lines = [f"experiment: {exp}", f"epsilon: {fmt(epsilon)}"]
+    report_lines = [f"experiment: {exp}", f"epsilon: {fmt(cfg.epsilon)}"]
     for lr, reason in sorted(exclusions):
         report_lines.append(f"excluded lr={fmt(lr)}: {reason}")
 
@@ -483,7 +438,7 @@ def analyze(
         u_smooth = kernel_smooth_triangular(log_lrs, [e.loss_mean for e in retained], cfg.smoothing_h)
         s_smooth = kernel_smooth_triangular(log_lrs, [e.entropy_mean for e in retained], cfg.smoothing_h)
         smoothed = [
-            replace_estimate(e, u, s)
+            replace(e, loss_mean=float(u), entropy_mean=float(s))
             for e, u, s in zip(retained, u_smooth, s_smooth)
         ]
         _write_csv(out / "smoothed.csv", ["lr", "U", "S", "U_smooth", "S_smooth"], [
@@ -491,7 +446,7 @@ def analyze(
             for e, u, s in zip(retained, u_smooth, s_smooth)
         ])
 
-        curve = temperature_curve(smoothed, epsilon)
+        curve = temperature_curve(smoothed, cfg.epsilon)
         _write_csv(out / "temperature.csv", TEMPERATURE_HEADER, [
             [
                 fmt(iv.lr), fmt(iv.t_lo), fmt(iv.t_hi),
@@ -509,7 +464,7 @@ def analyze(
         for iv in finite_mids:
             f_vals, argmin = free_energy_curve(smoothed, iv.midpoint)
             target = next(i for i, e in enumerate(smoothed) if e.lr == iv.lr)
-            if f_vals[target] <= f_vals[argmin] + epsilon:
+            if f_vals[target] <= f_vals[argmin] + cfg.epsilon:
                 consistent += 1
         verdicts["free_energy_consistent"] = (consistent, len(finite_mids))
         report_lines.append(
@@ -581,13 +536,6 @@ def analyze(
     for line in report_lines:
         print(line)
     return verdicts
-
-
-def replace_estimate(e: StationaryEstimate, loss_mean: float, entropy_mean: float) -> StationaryEstimate:
-    return StationaryEstimate(
-        lr=e.lr, loss_mean=float(loss_mean), entropy_mean=float(entropy_mean),
-        loss_std=e.loss_std, entropy_std=e.entropy_std, stabilized=e.stabilized,
-    )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ through session fixtures.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 import sgdtherm as st
 from sgdtherm.cli import (
     ExperimentConfig,
-    replace_estimate,
     run_grid,
     verify_oracles,
 )
@@ -219,7 +219,8 @@ class TestCriterion8FreeEnergyIntervals:
         log_lrs = np.log([e.lr for e in retained])
         u_s = st.kernel_smooth_triangular(log_lrs, [e.loss_mean for e in retained], 0.3)
         s_s = st.kernel_smooth_triangular(log_lrs, [e.entropy_mean for e in retained], 0.3)
-        smoothed = [replace_estimate(e, u, s) for e, u, s in zip(retained, u_s, s_s)]
+        smoothed = [replace(e, loss_mean=float(u), entropy_mean=float(s))
+                    for e, u, s in zip(retained, u_s, s_s)]
         curve = st.temperature_curve(smoothed, epsilon)
         interior = [iv for iv in curve.intervals
                     if not iv.bound_only and not iv.empty and math.isfinite(iv.midpoint)]

@@ -1,15 +1,21 @@
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 import sgdtherm as st
 from sgdtherm.cli import (
     DEFAULT_LR_GRID,
+    INI_KEYS,
+    INI_SECTIONS,
+    MODEL_KINDS,
     ExperimentConfig,
     analyze,
-    default_config_text,
     fmt,
     load_config,
     main,
@@ -80,6 +86,29 @@ def write_config(tmp_path, text, name="exp.ini"):
     return path
 
 
+# Every field set to a value other than its default.
+EVERY_FIELD = ExperimentConfig(
+    model="quadratic", dim=4, components=5, model_seed=11, hessian_scale=2.5,
+    lr_grid=(1e-3, 0.37), batch_size=2, total_iters=777, seed=42,
+    checkpoints_per_decade=7, loss_stop_threshold=1e-14, k=5, window=60,
+    epsilon=0.125, tail_fraction=0.3, smoothing_h=0.45, smoothing_sigma=0.2, fd_dt=3,
+    lr_range=(2e-3, 0.2), baseline_seeds=3, output_dir="runs/every field 100%",
+)
+
+INI_TABLE_KEYS = [(section, INI_KEYS.get(name, name))
+                  for section, names in INI_SECTIONS.items() for name in names]
+
+FUZZ_VALUES = hs.one_of(
+    hs.integers(-3, 40).map(str),
+    hs.floats().map(repr),
+    hs.sampled_from(MODEL_KINDS + ("default",)),
+    hs.lists(hs.floats(1e-6, 2.0), min_size=1, max_size=4, unique=True)
+      .map(lambda lrs: ", ".join(map(repr, sorted(lrs)))),
+    hs.tuples(hs.floats(), hs.floats()).map(lambda b: f"{b[0]!r}:{b[1]!r}"),
+    hs.text(alphabet="abe0.:;,-+%[] =", max_size=8),
+)
+
+
 class TestConfigParsing:
     def test_default_grid_has_28_values(self):
         assert len(DEFAULT_LR_GRID) == 28
@@ -96,17 +125,45 @@ class TestConfigParsing:
         ]
         assert DEFAULT_LR_GRID == expected
 
-    def test_default_text_round_trips(self, tmp_path):
-        path = write_config(tmp_path, default_config_text())
-        cfg = load_config(path)
-        assert cfg.model == "toy_op"
-        assert cfg.lr_grid == tuple(DEFAULT_LR_GRID)
+    def test_minimal_ini_loads_defaults(self, tmp_path):
+        path = write_config(tmp_path, "[grid]\nlrs = default\n")
+        assert load_config(path) == ExperimentConfig()
 
     def test_save_load_round_trip(self, tmp_path):
-        cfg = ExperimentConfig(model="hyperplane", dim=6, components=9, lr_grid=(0.01, 0.1),
-                               seed=42, lr_range=(0.02, 0.08))
-        save_config(cfg, tmp_path / "c.ini")
-        assert load_config(tmp_path / "c.ini") == cfg
+        assert all(getattr(EVERY_FIELD, f.name) != f.default for f in fields(ExperimentConfig))
+        for cfg in (
+            ExperimentConfig(model="hyperplane", dim=6, components=9, lr_grid=(0.01, 0.1),
+                             seed=42, lr_range=(0.02, 0.08)),
+            EVERY_FIELD,
+        ):
+            save_config(cfg, tmp_path / "c.ini")
+            assert load_config(tmp_path / "c.ini") == cfg
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = load_config(write_config(tmp_path, example))
+        assert cfg.lr_grid == (1e-3, 4.8e-3, 2.3e-2)
+        assert cfg.loss_stop_threshold == 1e-16
+        assert cfg.output_dir == "runs/toy_op"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hs.dictionaries(hs.sampled_from(INI_TABLE_KEYS), FUZZ_VALUES, max_size=8))
+    def test_fuzzed_config_is_rejected_or_buildable(self, tmp_path, entries):
+        """A fuzzed INI either fails as InvalidConfig or yields a config that builds."""
+        sections: dict[str, list[str]] = {}
+        for (section, key), value in entries.items():
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+        try:
+            cfg = load_config(write_config(tmp_path, text))
+        except InvalidConfig:
+            return
+        cfg.ensemble()
+        cfg.entropy_config()
+        for i, lr in enumerate(cfg.lr_grid):
+            cfg.sgd_config(lr, cfg.lr_seed(i))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -266,14 +323,52 @@ class TestMainEntryPoint:
         ("lrs = 4.8e-3, 1.1e-2, 2.3e-2", "lrs = inf", []),
         ("lrs = 4.8e-3, 1.1e-2, 2.3e-2", "lrs = -inf", []),
         ("", "", ["--seed", "-1"]),
+        ("batch_size = 1", "batch_size = 9", []),
+        ("k = 20", "k = 0", []),
+        ("window = 400", "window = 20", []),
+        ("epsilon = 0.01", "epsilon = 0.01\ntail_fraction = 0.9", []),
+        ("epsilon = 0.01", "epsilon = 0.01\ntail_fraction = 0", []),
+        ("epsilon = 0.01", "epsilon = nan", []),
+        ("epsilon = 0.01", "epsilon = -1", []),
+        ("epsilon = 0.01", "epsilon = 0.01\nlr_range = nan:nan", []),
+        ("[output]", "[model]\n\n[output]", []),
+        ("kind = toy_op", "kind = toy_op\nkind = toy_up", []),
+        ("[model]\n", "", []),
+        ("dir = out", "dir = out\xe9", []),
+        ("epsilon = 0.01", "epsilon = 0.01\nsmoothing_h = 0", []),
+        ("epsilon = 0.01", "epsilon = 0.01\nfd_dt = 0", []),
     ], ids=["bad-kind", "negative-seed", "negative-model-seed",
-            "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag"])
+            "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag",
+            "batch-too-large", "zero-k", "window-not-above-k",
+            "tail-fraction-above-half", "zero-tail-fraction",
+            "nan-epsilon", "negative-epsilon", "nan-lr-range",
+            "duplicate-section", "duplicate-option", "missing-section-header", "not-utf8",
+            "zero-smoothing-h", "zero-fd-dt"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, old, new, extra):
-        bad = write_config(tmp_path, TOY_OP_SMALL.replace(old, new, 1) if old else TOY_OP_SMALL)
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "exp"), *extra]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "Traceback" not in err
+        bad = tmp_path / "exp.ini"
+        # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
+        bad.write_bytes((TOY_OP_SMALL.replace(old, new, 1) if old else TOY_OP_SMALL).encode("latin-1"))
+        for command in ("run", "baseline"):
+            out = tmp_path / command
+            assert main([command, "--config", str(bad), "--out", str(out), *extra]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "nan"], ["--epsilon", "-1"], ["--epsilon", "inf"],
+        ["--lr-range", "nan:nan"], ["--lr-range", "1e-3:inf"], ["--lr-range", "1e-3"],
+    ], ids=["nan-epsilon", "negative-epsilon", "inf-epsilon",
+            "nan-lr-range", "inf-lr-range", "lr-range-without-colon"])
+    def test_invalid_analyze_override_exits_2(self, tmp_path, capsys, flags):
+        exp = tmp_path / "exp"
+        exp.mkdir()
+        save_config(ExperimentConfig(), exp / "config.ini")
+        out = tmp_path / "report"
+        assert main(["analyze", str(exp), "--out", str(out), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_experiment_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2
