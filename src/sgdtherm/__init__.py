@@ -34,7 +34,6 @@ from .closed_form import (
     two_circle_snr_sq_polar,
 )
 from .ensembles import (
-    GreatCircleEnsemble,
     HyperplaneEnsemble,
     QuadraticEnsemble,
     circle_grad,

@@ -18,7 +18,7 @@ output is written with 17 significant digits, and a normalized copy of the
 configuration is stored next to the results so any run can be replayed
 byte-identically.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid config or I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid config or input file.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .errors import (
     TooFewSamples,
 )
 from .gradients import gradient_stats
-from .sphere import SgdConfig, run_seeded
+from .sphere import SgdConfig, checkpoint_schedule, run_seeded
 
 # The default learning-rate grid: 3 values per decade below 1e-4, 4 from
 # 1e-4 to 1e-3, a dense segment of 14 across 1e-3..1e-2, and 7 up to 1.0.
@@ -79,9 +79,17 @@ DEFAULT_LR_GRID = [
     1.0e-2, 2.2e-2, 4.6e-2, 1.0e-1, 2.2e-1, 4.6e-1, 1.0,
 ]
 
-SERIES_HEADER = ["iter", "loss", "full_grad_norm", "mean_stoch_grad_norm", "snr", "entropy"]
-SUMMARY_HEADER = ["lr", "U", "U_std", "S", "S_std", "stabilized"]
-TEMPERATURE_HEADER = ["lr", "t_lo", "t_hi", "bound_only", "empty"]
+# The files `run` writes for `analyze`: each CSV column, in file order, with the
+# TrajectoryLog (series file) or StationaryEstimate (summary) field it holds.
+SERIES_COLUMNS = {
+    "iter": "iters", "loss": "losses", "full_grad_norm": "full_grad_norms",
+    "mean_stoch_grad_norm": "stoch_grad_norms", "snr": "snrs", "entropy": "entropies",
+}
+SUMMARY_COLUMNS = {
+    "lr": "lr", "U": "loss_mean", "U_std": "loss_std",
+    "S": "entropy_mean", "S_std": "entropy_std", "stabilized": "stabilized",
+}
+_BOOL_COLUMNS = {"stabilized"}
 
 MODEL_KINDS = ("toy_op", "toy_up", "hyperplane", "quadratic")
 
@@ -173,6 +181,13 @@ class ExperimentConfig:
         size = len(self.ensemble())
         if self.batch_size > size:
             raise InvalidConfig(f"[sgd] batch_size {self.batch_size} exceeds the ensemble size {size}")
+        # extract_stationary needs 2 entropy windows among the checkpoints of the tail.
+        t = checkpoint_schedule(self.total_iters, self.checkpoints_per_decade)
+        if np.count_nonzero((t >= self.window) & (t > (1.0 - self.tail_fraction) * self.total_iters)) < 2:
+            raise InvalidConfig(
+                f"[entropy] window {self.window} is full at fewer than 2 checkpoints of the tail "
+                f"(the last {fmt(self.tail_fraction)} of total_iters {self.total_iters})"
+            )
 
     def ensemble(self):
         if self.model == "toy_op":
@@ -285,47 +300,76 @@ def _run_one(cfg: ExperimentConfig, index: int):
     return index, log, est
 
 
+def _cell(value) -> str:
+    """The one cell format: floats through `fmt`, booleans as true/false, ints as-is, None blank."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return fmt(value)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     """The one CSV byte format: UTF-8, "\n" line endings, a header row first."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _parse_cell(column: str, raw: str | None):
+    """Inverse of `_cell`: true/false in a boolean column, a float elsewhere (blank is NaN)."""
+    if column in _BOOL_COLUMNS:
+        return {"true": True, "false": False}[raw]
+    return math.nan if raw == "" else float(raw)
+
+
+def _read_csv(path: Path, columns) -> dict[str, list]:
+    """The named columns of a file written by `_write_csv`; any defect is MissingData."""
+    cols = {c: [] for c in columns}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or [])]
+            if missing:
+                raise MissingData(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                for c in columns:
+                    try:  # a short row holds None
+                        cols[c].append(_parse_cell(c, row[c]))
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise MissingData(
+                            f"{path}, line {reader.line_num}: missing or unreadable {c!r} cell"
+                        ) from exc
+    except FileNotFoundError as exc:
+        raise MissingData(f"file not found: {path}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MissingData(f"{path}: {exc}") from exc
+    return cols
 
 
 def write_series(path: Path, log) -> None:
-    ent_by_iter = dict(zip(log.entropy_iters.tolist(), log.entropies.tolist()))
-    rows = []
-    for i in range(log.iters.size):
-        it = int(log.iters[i])
-        ent = ent_by_iter.get(it)
-        rows.append([
-            str(it),
-            fmt(float(log.losses[i])),
-            fmt(float(log.full_grad_norms[i])),
-            fmt(float(log.stoch_grad_norms[i])),
-            fmt(float(log.snrs[i])),
-            "" if ent is None else fmt(ent),
-        ])
-    _write_csv(path, SERIES_HEADER, rows)
+    values = {f: getattr(log, f).tolist() for f in SERIES_COLUMNS.values()}
+    ent_by_iter = dict(zip(log.entropy_iters.tolist(), values["entropies"]))
+    values["entropies"] = [ent_by_iter.get(it) for it in values["iters"]]
+    _write_csv(path, SERIES_COLUMNS, zip(*values.values()))
 
 
 def write_summary(path: Path, rows: list[tuple[float, StationaryEstimate | None]]) -> None:
-    out = []
-    for lr, est in rows:
-        if est is None:
-            out.append([fmt(lr), "nan", "nan", "nan", "nan", "false"])
-        else:
-            out.append([
-                fmt(lr), fmt(est.loss_mean), fmt(est.loss_std),
-                fmt(est.entropy_mean), fmt(est.entropy_std),
-                "true" if est.stabilized else "false",
-            ])
-    _write_csv(path, SUMMARY_HEADER, out)
+    """One row per (lr, estimate); a missing estimate is written as NaNs, not stabilized."""
+    nan = math.nan
+    estimates = [est if est is not None else StationaryEstimate(lr, nan, nan, nan, nan, False)
+                 for lr, est in rows]
+    _write_csv(path, SUMMARY_COLUMNS,
+               [[getattr(e, f) for f in SUMMARY_COLUMNS.values()] for e in estimates])
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
     """Run one trajectory per learning rate and serialize the experiment."""
+    if jobs < 1:
+        raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.ini")
@@ -348,42 +392,21 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
 
 
 def read_summary(path: Path) -> list[StationaryEstimate]:
-    if not path.exists():
-        raise MissingData(f"summary file not found: {path}")
-    estimates = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            estimates.append(StationaryEstimate(
-                lr=float(row["lr"]),
-                loss_mean=float(row["U"]),
-                loss_std=float(row["U_std"]),
-                entropy_mean=float(row["S"]),
-                entropy_std=float(row["S_std"]),
-                stabilized=row["stabilized"] == "true",
-            ))
-    return estimates
+    cols = _read_csv(path, SUMMARY_COLUMNS)
+    return [StationaryEstimate(**dict(zip(SUMMARY_COLUMNS.values(), row)))
+            for row in zip(*cols.values())]
 
 
 def read_series(path: Path) -> dict[str, np.ndarray]:
-    if not path.exists():
-        raise MissingData(f"series file not found: {path}")
-    cols: dict[str, list[float]] = {name: [] for name in SERIES_HEADER}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            for name in SERIES_HEADER:
-                raw = row[name]
-                cols[name].append(math.nan if raw == "" else float(raw))
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    """Float arrays keyed by CSV header; NaN where the file has no entropy."""
+    return {name: np.asarray(vals, dtype=float)
+            for name, vals in _read_csv(path, SERIES_COLUMNS).items()}
 
 
 def _baseline_rows(cfg: ExperimentConfig, ensemble) -> list[tuple[int, float, float]]:
     """(seed, loss, entropy) of the uniform-sphere baseline, one row per baseline seed."""
-    rows = []
-    for i in range(cfg.baseline_seeds):
-        seed = int(np.random.SeedSequence([int(cfg.seed), 10_000 + i]).generate_state(1, np.uint64)[0])
-        u, s = uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)
-        rows.append((seed, u, s))
-    return rows
+    seeds = [cfg.lr_seed(10_000 + i) for i in range(cfg.baseline_seeds)]
+    return [(seed, *uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)) for seed in seeds]
 
 
 def analyze(
@@ -442,18 +465,12 @@ def analyze(
             for e, u, s in zip(retained, u_smooth, s_smooth)
         ]
         _write_csv(out / "smoothed.csv", ["lr", "U", "S", "U_smooth", "S_smooth"], [
-            [fmt(e.lr), fmt(e.loss_mean), fmt(e.entropy_mean), fmt(u), fmt(s)]
-            for e, u, s in zip(retained, u_smooth, s_smooth)
+            [e.lr, e.loss_mean, e.entropy_mean, u, s] for e, u, s in zip(retained, u_smooth, s_smooth)
         ])
 
         curve = temperature_curve(smoothed, cfg.epsilon)
-        _write_csv(out / "temperature.csv", TEMPERATURE_HEADER, [
-            [
-                fmt(iv.lr), fmt(iv.t_lo), fmt(iv.t_hi),
-                "true" if iv.bound_only else "false",
-                "true" if iv.empty else "false",
-            ]
-            for iv in curve.intervals
+        _write_csv(out / "temperature.csv", ["lr", "t_lo", "t_hi", "bound_only", "empty"], [
+            [iv.lr, iv.t_lo, iv.t_hi, iv.bound_only, iv.empty] for iv in curve.intervals
         ])
         verdicts["temperature_curve"] = curve
         report_lines.append(f"monotone temperature: {'true' if curve.monotone else 'false'}")
@@ -478,11 +495,7 @@ def analyze(
             fe_rows = []
             for t in picks:
                 f_vals, argmin = free_energy_curve(smoothed, t)
-                for i, e in enumerate(smoothed):
-                    fe_rows.append([
-                        fmt(t), fmt(e.lr), fmt(float(f_vals[i])),
-                        "true" if i == argmin else "false",
-                    ])
+                fe_rows += [[t, e.lr, f_vals[i], i == argmin] for i, e in enumerate(smoothed)]
             _write_csv(out / "free_energy.csv",
                        ["temperature", "lr", "free_energy", "is_argmin"], fe_rows)
 
@@ -495,16 +508,11 @@ def analyze(
         series = read_series(exp / series_filename(idx, e.lr))
         has_ent = np.isfinite(series["entropy"])  # excludes the -inf collapse sentinel
         if np.count_nonzero(has_ent) > 2 * cfg.fd_dt:
-            u = kernel_smooth_gaussian_logtime(
-                series["iter"][has_ent], series["loss"][has_ent], cfg.smoothing_sigma
-            )
-            s = kernel_smooth_gaussian_logtime(
-                series["iter"][has_ent], series["entropy"][has_ent], cfg.smoothing_sigma
-            )
-            fd_idx, fd_vals = finite_difference_temperature(u, s, cfg.fd_dt)
             iters = series["iter"][has_ent]
-            for j, t in zip(fd_idx, fd_vals):
-                fd_rows.append((e.lr, int(iters[j]), t))
+            u = kernel_smooth_gaussian_logtime(iters, series["loss"][has_ent], cfg.smoothing_sigma)
+            s = kernel_smooth_gaussian_logtime(iters, series["entropy"][has_ent], cfg.smoothing_sigma)
+            fd_idx, fd_vals = finite_difference_temperature(u, s, cfg.fd_dt)
+            fd_rows += [(e.lr, int(iters[j]), t) for j, t in zip(fd_idx, fd_vals)]
         good = (series["full_grad_norm"] > 1e-290) & (series["mean_stoch_grad_norm"] > 1e-290)
         burn = max(1, np.count_nonzero(good) // 10)
         gx = series["full_grad_norm"][good][burn:]
@@ -514,17 +522,14 @@ def analyze(
             law_rows.append((e.lr, law))
 
     if fd_rows:
-        _write_csv(out / "fd_temperature.csv", ["lr", "iter", "temperature"],
-                   [[fmt(lr), str(it), fmt(float(t))] for lr, it, t in fd_rows])
+        _write_csv(out / "fd_temperature.csv", ["lr", "iter", "temperature"], fd_rows)
         report_lines.append(
             f"finite-difference temperature series written for "
             f"{len({lr for lr, _, _ in fd_rows})} non-stabilized learning rates"
         )
     if law_rows:
-        _write_csv(out / "phase_law.csv", ["lr", "coefficient", "exponent", "r_squared"], [
-            [fmt(lr), fmt(law.coefficient), fmt(law.exponent), fmt(law.r_squared)]
-            for lr, law in law_rows
-        ])
+        _write_csv(out / "phase_law.csv", ["lr", "coefficient", "exponent", "r_squared"],
+                   [[lr, law.coefficient, law.exponent, law.r_squared] for lr, law in law_rows])
         for lr, law in law_rows:
             report_lines.append(
                 f"gradient phase-diagram power law at lr={fmt(lr)}: exponent {law.exponent:.4f}"
@@ -658,8 +663,7 @@ def _cmd_baseline(args) -> int:
     rows = _baseline_rows(cfg, cfg.ensemble())
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "baseline.csv", ["seed", "U", "S"],
-               [[str(seed), fmt(u), fmt(s)] for seed, u, s in rows])
+    _write_csv(out / "baseline.csv", ["seed", "U", "S"], rows)
     us = np.array([r[1] for r in rows])
     ss = np.array([r[2] for r in rows])
     print(f"uniform-sphere baseline over {len(rows)} seeds (n={cfg.window}, k={cfg.k}):")

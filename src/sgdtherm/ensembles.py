@@ -1,13 +1,11 @@
 """Loss ensembles: collections of per-example loss components sharing a minimizer structure.
 
-Two families are scale-invariant and live on the unit sphere:
+Hyperplane ensembles are scale-invariant and live on the unit sphere:
+component i is half the squared distance to a hyperplane through the origin,
+normalized by ||w||^2.  In 3D each zero set is a great circle, as in the toy
+ensembles `make_toy_op`, `make_toy_up` and `make_circle_pair`.
 
-* great-circle ensembles in 3D, where component i is half the squared
-  distance to a plane through the origin, normalized by ||w||^2; its zero
-  set is the corresponding great circle;
-* hyperplane ensembles, the same functional form in D dimensions.
-
-The third family is an unconstrained quadratic ensemble (per-component
+The second family is an unconstrained quadratic ensemble (per-component
 Hessians around a shared optimum), used to validate closed-form SNR
 expressions.  Whether every per-example loss can vanish simultaneously
 distinguishes the overparameterized (OP) regime from the underparameterized
@@ -17,7 +15,7 @@ do not span the full space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,13 +83,6 @@ class HyperplaneEnsemble:
         rank = np.linalg.matrix_rank(self.normals)
         return "OP" if rank < self.dim else "UP"
 
-    def losses(self, w: np.ndarray) -> np.ndarray:
-        a = self.normals @ w
-        sq = float(w @ w)
-        if sq < 1e-300:
-            raise ZeroVector("loss undefined at the origin")
-        return a * a / (2.0 * sq)
-
     def full_loss(self, w: np.ndarray) -> float:
         a = self.normals @ w
         sq = w @ w
@@ -119,16 +110,6 @@ class HyperplaneEnsemble:
         return inv * (a @ sub) - (inv * (a @ a)) * w
 
 
-class GreatCircleEnsemble(HyperplaneEnsemble):
-    """The 3D special case: each component's zero set is a great circle."""
-
-    def __init__(self, normals: np.ndarray):
-        normals = np.asarray(normals, dtype=float)
-        if normals.ndim != 2 or normals.shape[1] != 3:
-            raise InvalidConfig("great-circle normals must be 3-vectors")
-        super().__init__(normals)
-
-
 def hyperplane_loss_and_grad(
     ensemble: HyperplaneEnsemble, index: int, w: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -139,17 +120,17 @@ def hyperplane_loss_and_grad(
     return circle_loss(normal, w), circle_grad(normal, w)
 
 
-def make_toy_op() -> GreatCircleEnsemble:
+def make_toy_op() -> HyperplaneEnsemble:
     """Two great circles intersecting at (0, 0, +-1): the interpolating (OP) toy.
 
     Normals (sqrt(3)/2, 1/2, 0) and (sqrt(3)/2, -1/2, 0); the full loss is
     zero exactly at the poles.
     """
     s3 = np.sqrt(3.0) / 2.0
-    return GreatCircleEnsemble(np.array([[s3, 0.5, 0.0], [s3, -0.5, 0.0]]))
+    return HyperplaneEnsemble(np.array([[s3, 0.5, 0.0], [s3, -0.5, 0.0]]))
 
 
-def make_toy_up() -> GreatCircleEnsemble:
+def make_toy_up() -> HyperplaneEnsemble:
     """Three great circles with no common point: the non-interpolating (UP) toy.
 
     Raw normals (1, 0, 0.2), (-1/2, sqrt(3)/2, 0.2), (-1/2, -sqrt(3)/2, 0.2),
@@ -163,13 +144,13 @@ def make_toy_up() -> GreatCircleEnsemble:
         [-0.5, h, 0.2],
         [-0.5, -h, 0.2],
     ])
-    return GreatCircleEnsemble(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    return HyperplaneEnsemble(raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
-def make_circle_pair(half_angle: float) -> GreatCircleEnsemble:
+def make_circle_pair(half_angle: float) -> HyperplaneEnsemble:
     """Two circles with normals (cos a, +-sin a, 0); make_toy_op() is a = pi/6."""
     c, s = np.cos(half_angle), np.sin(half_angle)
-    return GreatCircleEnsemble(np.array([[c, s, 0.0], [c, -s, 0.0]]))
+    return HyperplaneEnsemble(np.array([[c, s, 0.0], [c, -s, 0.0]]))
 
 
 def random_hyperplane_ensemble(
@@ -185,15 +166,15 @@ def random_hyperplane_ensemble(
 class QuadraticEnsemble:
     """Per-component quadratics around a shared optimum (unconstrained).
 
-    Component i is offsets[i] + 0.5 (w - optimum)^T H_i (w - optimum) with
+    Component i is 0.5 (w - optimum)^T H_i (w - optimum) with
     symmetric PSD H_i; the full Hessian is the component mean.  Used for
     validating direction-wise SNR identities, not for spherical runs.
     """
 
+    spherical = False
+
     optimum: np.ndarray
     hessians: np.ndarray  # (M, D, D)
-    offsets: np.ndarray | None = None
-    spherical: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.optimum = np.asarray(self.optimum, dtype=float)
@@ -203,12 +184,6 @@ class QuadraticEnsemble:
             raise DimensionMismatch("hessians must have shape (M, D, D) matching the optimum")
         if not np.allclose(self.hessians, np.swapaxes(self.hessians, 1, 2), atol=1e-12):
             raise InvalidConfig("component Hessians must be symmetric within 1e-12")
-        if self.offsets is None:
-            self.offsets = np.zeros(self.hessians.shape[0])
-        else:
-            self.offsets = np.asarray(self.offsets, dtype=float)
-            if self.offsets.shape != (self.hessians.shape[0],):
-                raise DimensionMismatch("one offset per component required")
 
     def __len__(self) -> int:
         return self.hessians.shape[0]
@@ -221,12 +196,9 @@ class QuadraticEnsemble:
     def full_hessian(self) -> np.ndarray:
         return self.hessians.mean(axis=0)
 
-    def losses(self, w: np.ndarray) -> np.ndarray:
-        d = np.asarray(w, dtype=float) - self.optimum
-        return self.offsets + 0.5 * np.einsum("mij,i,j->m", self.hessians, d, d)
-
     def full_loss(self, w: np.ndarray) -> float:
-        return float(self.losses(w).mean())
+        d = np.asarray(w, dtype=float) - self.optimum
+        return float((0.5 * np.einsum("mij,i,j->m", self.hessians, d, d)).mean())
 
     def component_grads(self, w: np.ndarray) -> np.ndarray:
         d = np.asarray(w, dtype=float) - self.optimum
@@ -248,7 +220,7 @@ def quadratic_loss_and_grad(
         raise IndexError(f"component index {index} out of range [0, {len(ensemble)})")
     d = np.asarray(w, dtype=float) - ensemble.optimum
     h = ensemble.hessians[index]
-    loss = float(ensemble.offsets[index] + 0.5 * d @ h @ d)
+    loss = float(0.5 * d @ h @ d)
     return loss, h @ d
 
 
@@ -257,8 +229,7 @@ def random_quadratic_ensemble(
 ) -> QuadraticEnsemble:
     """Random PSD quadratic ensemble: H_i = G_i^T G_i / dim, optimum at the origin.
 
-    Zero offsets, so every stochastic gradient vanishes at the optimum
-    (the interpolation property).
+    Every stochastic gradient vanishes at the optimum (the interpolation property).
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((components, dim, dim))

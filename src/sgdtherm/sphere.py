@@ -175,7 +175,7 @@ def run_trajectory(
         raise BatchTooLarge(
             f"batch_size {cfg.batch_size} > ensemble size {len(ensemble)}"
         )
-    spherical = getattr(ensemble, "spherical", True)
+    spherical = ensemble.spherical
     if spherical:
         w = project_to_sphere(w)
 

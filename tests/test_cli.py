@@ -1,6 +1,7 @@
 import math
 import re
-from dataclasses import fields, replace
+import shutil
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,21 @@ from sgdtherm.cli import (
     INI_KEYS,
     INI_SECTIONS,
     MODEL_KINDS,
+    SERIES_COLUMNS,
     ExperimentConfig,
     analyze,
     fmt,
     load_config,
     main,
+    read_series,
+    read_summary,
     run_grid,
     save_config,
     verify_oracles,
+    write_series,
+    write_summary,
 )
-from sgdtherm.errors import InvalidConfig, MissingData
+from sgdtherm.errors import InvalidConfig, MissingData, TooFewSamples
 
 
 TOY_OP_SMALL = """\
@@ -181,6 +187,21 @@ class TestConfigParsing:
         with pytest.raises(MissingData):
             load_config(tmp_path / "absent.ini")
 
+    @pytest.mark.parametrize("total_iters, per_decade, tail_fraction", [(400, 20, 0.5), (300, 5, 0.3)])
+    def test_window_rule_matches_extract_stationary(self, total_iters, per_decade, tail_fraction):
+        """The largest accepted window leaves exactly 2 tail entropies; one iterate more leaves 1."""
+        largest = int(st.checkpoint_schedule(total_iters, per_decade)[-2])
+        base = dict(model="toy_up", lr_grid=(0.05,), total_iters=total_iters,
+                    checkpoints_per_decade=per_decade, tail_fraction=tail_fraction, k=5)
+        sgd = ExperimentConfig(window=largest, **base).sgd_config(0.05, 1)
+        logs = {w: st.run_seeded(st.make_toy_up(), sgd, st.EntropyConfig(k=5, window=w))
+                for w in (largest, largest + 1)}
+        st.extract_stationary(logs[largest], tail_fraction=tail_fraction)
+        with pytest.raises(TooFewSamples):
+            st.extract_stationary(logs[largest + 1], tail_fraction=tail_fraction)
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(window=largest + 1, **base)
+
 
 class TestFloatFormat:
     def test_17_significant_digits_round_trip(self):
@@ -193,6 +214,42 @@ class TestFloatFormat:
         assert fmt(math.inf) == "inf"
         assert fmt(-math.inf) == "-inf"
         assert fmt(math.nan) == "nan"
+
+
+class TestCsvRoundTrip:
+    def test_summary(self, tmp_path):
+        rows = [
+            (1e-3, None),
+            (2.2e-2, st.StationaryEstimate(2.2e-2, 1 / 3, -2.5, 1e-300, math.nan, False)),
+            (0.1, st.StationaryEstimate(0.1, 0.125, -math.inf, 0.0, math.inf, True)),
+        ]
+        write_summary(tmp_path / "summary.csv", rows)
+        got = read_summary(tmp_path / "summary.csv")
+        want = [(1e-3, math.nan, math.nan, math.nan, math.nan, False)] + [astuple(e) for _, e in rows[1:]]
+        np.testing.assert_equal([astuple(e) for e in got], want)
+        assert [type(e.stabilized) for e in got] == [bool] * 3
+
+    def test_series(self, tmp_path):
+        log = st.TrajectoryLog(
+            iters=np.array([1, 2, 5, 10]),
+            losses=np.array([0.5, 1 / 3, 1e-300, 0.0]),
+            full_grad_norms=np.array([1.0, 0.1, 1e-17, 0.0]),
+            stoch_grad_norms=np.array([2.0, 0.2, 2e-17, 0.0]),
+            snrs=np.array([0.5, math.nan, 0.25, math.nan]),
+            entropy_iters=np.array([5, 10]),
+            entropies=np.array([-math.inf, -2.75]),
+            snapshots=np.zeros((5, 3)),
+            stopped_early=False,
+            config=st.SgdConfig(learning_rate=0.01, total_iters=10),
+        )
+        write_series(tmp_path / "series.csv", log)
+        got = read_series(tmp_path / "series.csv")
+        assert list(got) == list(SERIES_COLUMNS)
+        assert all(col.dtype == float for col in got.values())
+        for column, field in SERIES_COLUMNS.items():
+            if field != "entropies":
+                np.testing.assert_array_equal(got[column], getattr(log, field))
+        np.testing.assert_array_equal(got["entropy"], [math.nan, math.nan, -math.inf, -2.75])
 
 
 class TestRunGrid:
@@ -337,18 +394,23 @@ class TestMainEntryPoint:
         ("dir = out", "dir = out\xe9", []),
         ("epsilon = 0.01", "epsilon = 0.01\nsmoothing_h = 0", []),
         ("epsilon = 0.01", "epsilon = 0.01\nfd_dt = 0", []),
+        ("total_iters = 4000", "total_iters = 300", []),
+        ("checkpoints_per_decade = 20", "checkpoints_per_decade = 1", []),
+        ("", "", ["--jobs", "0"]),
+        ("", "", ["--jobs", "-1"]),
     ], ids=["bad-kind", "negative-seed", "negative-model-seed",
             "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag",
             "batch-too-large", "zero-k", "window-not-above-k",
             "tail-fraction-above-half", "zero-tail-fraction",
             "nan-epsilon", "negative-epsilon", "nan-lr-range",
             "duplicate-section", "duplicate-option", "missing-section-header", "not-utf8",
-            "zero-smoothing-h", "zero-fd-dt"])
+            "zero-smoothing-h", "zero-fd-dt", "unfillable-window", "one-tail-checkpoint",
+            "zero-jobs", "negative-jobs"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, old, new, extra):
         bad = tmp_path / "exp.ini"
         # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
         bad.write_bytes((TOY_OP_SMALL.replace(old, new, 1) if old else TOY_OP_SMALL).encode("latin-1"))
-        for command in ("run", "baseline"):
+        for command in ("run",) if "--jobs" in extra else ("run", "baseline"):
             out = tmp_path / command
             assert main([command, "--config", str(bad), "--out", str(out), *extra]) == 2
             err = capsys.readouterr().err
@@ -369,6 +431,36 @@ class TestMainEntryPoint:
         assert main(["analyze", str(exp), "--out", str(out), *flags]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def small_experiment(self, tmp_path_factory):
+        """A TOY_OP_SMALL experiment that `analyze` reads in full: no run is stabilized."""
+        tmp = tmp_path_factory.mktemp("experiment")
+        exp = run_grid(load_config(write_config(tmp, TOY_OP_SMALL)), out_dir=tmp / "exp")
+        assert not any(e.stabilized for e in read_summary(exp / "summary.csv"))
+        assert main(["analyze", str(exp), "--out", str(tmp / "report")]) == 0
+        return exp
+
+    @pytest.mark.parametrize("pattern, edit", [
+        ("summary.csv", lambda lines: [lines[0].replace("U_std", "U_sd"), *lines[1:]]),
+        ("summary.csv", lambda lines: [lines[0], "abc" + lines[1][lines[1].index(","):], *lines[2:]]),
+        ("summary.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]]),
+        ("series_01_*.csv", lambda lines: [lines[0], lines[1].rsplit(",", 3)[0], *lines[2:]]),
+        ("series_02_*.csv", lambda lines: [lines[0], lines[1] + ",\xe9", *lines[2:]]),
+    ], ids=["renamed-summary-column", "non-numeric-summary-cell", "non-boolean-summary-cell",
+            "short-series-row", "not-utf8-series"])
+    def test_malformed_experiment_exits_2(self, tmp_path, capsys, small_experiment, pattern, edit):
+        exp = tmp_path / "exp"
+        shutil.copytree(small_experiment, exp)
+        (path,) = exp.glob(pattern)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
+        path.write_bytes("\n".join(edit(lines)).encode("latin-1"))
+        assert main(["analyze", str(exp)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert str(path) in err
+        assert "Traceback" not in err
 
     def test_missing_experiment_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2

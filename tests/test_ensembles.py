@@ -181,7 +181,7 @@ class TestQuadraticEnsemble:
         np.testing.assert_allclose(grad, r, rtol=1e-15)
 
     def test_all_stochastic_gradients_vanish_at_shared_optimum(self):
-        """Zero offsets and a shared optimum: the interpolation property."""
+        """A shared optimum: the interpolation property."""
         ens = st.random_quadratic_ensemble(5, 6, seed=1)
         grads = ens.component_grads(ens.optimum)
         np.testing.assert_array_equal(grads, np.zeros((6, 5)))
