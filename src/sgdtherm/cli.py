@@ -2,21 +2,22 @@
 
 Subcommands
 -----------
-run             simulate a grid of learning rates, write per-lr series CSVs
-                and a stationary summary CSV into the experiment directory
-analyze         reduce an experiment directory to smoothed curves,
-                temperature intervals with a monotonicity verdict,
-                free-energy curves, finite-difference temperature series for
-                non-stabilized runs, and a gradient phase-diagram power law
+run             simulate a grid of learning rates, then write per-lr series
+                CSVs and a stationary summary CSV into the experiment directory
+analyze         read an experiment directory, reduce it in memory to smoothed
+                curves, temperature intervals with a monotonicity verdict,
+                free-energy curves, finite-difference temperature series and
+                phase-diagram power laws for non-stabilized runs, then write them
 baseline        uniform-sphere loss/entropy reference values for the model
 verify-oracles  closed-form identity checks; nonzero exit on failure
 
 The config file is INI-style with one section per subsystem; `INI_SECTIONS`
 lists every key, and every key is optional.  `ExperimentConfig` holds the
-defaults and checks the whole config before anything is written.  All numeric
-output is written with 17 significant digits, and a normalized copy of the
-configuration is stored next to the results so any run can be replayed
-byte-identically.
+defaults and checks the whole config before anything is written, and `run` and
+`analyze` compute all their results before they create the output directory.
+All numeric output is written with 17 significant digits, and a normalized
+copy of the configuration is stored next to the results so any run can be
+replayed byte-identically.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid config or input file.
 """
@@ -91,13 +92,13 @@ SUMMARY_COLUMNS = {
 }
 _BOOL_COLUMNS = {"stabilized"}
 
-MODEL_KINDS = ("toy_op", "toy_up", "hyperplane", "quadratic")
+MODEL_KINDS = ("toy_op", "toy_up", "hyperplane")
 
 # The INI file: each [section] with the ExperimentConfig fields it holds, in
 # file order, and the keys that differ from their field names.  Defaults live
 # only in ExperimentConfig.
 INI_SECTIONS = {
-    "model": ("model", "dim", "components", "model_seed", "hessian_scale"),
+    "model": ("model", "dim", "components", "model_seed"),
     "grid": ("lr_grid",),
     "sgd": ("batch_size", "total_iters", "seed", "checkpoints_per_decade", "loss_stop_threshold"),
     "entropy": ("k", "window"),
@@ -123,7 +124,6 @@ class ExperimentConfig:
     dim: int = 3
     components: int = 2
     model_seed: int = 7
-    hessian_scale: float = 1.0
     lr_grid: tuple[float, ...] = tuple(DEFAULT_LR_GRID)
     batch_size: int = 1
     total_iters: int = 50_000
@@ -152,9 +152,8 @@ class ExperimentConfig:
             raise InvalidConfig("[grid] lrs must all be positive")
         if any(b <= a for a, b in zip(self.lr_grid, self.lr_grid[1:])):
             raise InvalidConfig("[grid] lrs must be strictly increasing")
-        if self.model in ("hyperplane", "quadratic"):
-            if self.dim < 2 or self.components < 1:
-                raise InvalidConfig("[model] dim must be >= 2 and components >= 1")
+        if self.model == "hyperplane" and (self.dim < 2 or self.components < 1):
+            raise InvalidConfig("[model] dim must be >= 2 and components >= 1")
         if self.lr_range is not None:
             if not all(math.isfinite(b) for b in self.lr_range):
                 raise InvalidConfig("[analysis] lr_range bounds must be finite")
@@ -194,11 +193,7 @@ class ExperimentConfig:
             return make_toy_op()
         if self.model == "toy_up":
             return make_toy_up()
-        if self.model == "hyperplane":
-            return random_hyperplane_ensemble(self.dim, self.components, self.model_seed)
-        return random_quadratic_ensemble(
-            self.dim, self.components, self.model_seed, self.hessian_scale
-        )
+        return random_hyperplane_ensemble(self.dim, self.components, self.model_seed)
 
     def sgd_config(self, lr: float, seed: int) -> SgdConfig:
         return SgdConfig(
@@ -289,7 +284,7 @@ def series_filename(index: int, lr: float) -> str:
 
 
 def _run_one(cfg: ExperimentConfig, index: int):
-    """Simulate one learning rate; returns (index, log, estimate-or-None)."""
+    """Simulate one learning rate; returns (log, estimate-or-None)."""
     lr = cfg.lr_grid[index]
     ensemble = cfg.ensemble()
     log = run_seeded(ensemble, cfg.sgd_config(lr, cfg.lr_seed(index)), cfg.entropy_config())
@@ -297,7 +292,7 @@ def _run_one(cfg: ExperimentConfig, index: int):
         est = extract_stationary(log, tail_fraction=cfg.tail_fraction)
     except TooFewSamples:
         est = None
-    return index, log, est
+    return log, est
 
 
 def _cell(value) -> str:
@@ -367,23 +362,25 @@ def write_summary(path: Path, rows: list[tuple[float, StationaryEstimate | None]
 
 
 def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
-    """Run one trajectory per learning rate and serialize the experiment."""
+    """Run one trajectory per learning rate, then serialize the experiment.
+
+    Every chain finishes before the output directory is created, so a chain
+    that raises leaves no directory behind.
+    """
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.ini")
-
     indices = list(range(len(cfg.lr_grid)))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, [cfg] * len(indices), indices))
     else:
         results = [_run_one(cfg, i) for i in indices]
-    results.sort(key=lambda r: r[0])
 
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.ini")
     summary_rows = []
-    for index, log, est in results:
+    for index, (log, est) in enumerate(results):
         lr = cfg.lr_grid[index]
         write_series(out / series_filename(index, lr), log)
         summary_rows.append((lr, est))
@@ -409,74 +406,58 @@ def _baseline_rows(cfg: ExperimentConfig, ensemble) -> list[tuple[int, float, fl
     return [(seed, *uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)) for seed in seeds]
 
 
-def analyze(
-    exp_dir: str | Path,
-    out_dir: str | Path | None = None,
-    lr_range: tuple[float, float] | None = None,
-    epsilon: float | None = None,
-) -> dict:
-    """Reduce an experiment directory to temperature/free-energy reports.
+# The CSVs `analyze` owns in its output directory: each call writes those that
+# have rows and removes the others, so no table survives from an earlier call.
+ANALYSIS_FILES = ("smoothed.csv", "temperature.csv", "free_energy.csv", "fd_temperature.csv",
+                  "phase_law.csv")
 
-    Returns a dict of verdicts; writes smoothed.csv, temperature.csv,
-    free_energy.csv, fd_temperature.csv, phase_law.csv and report.txt.
+
+def reduce_experiment(cfg: ExperimentConfig, estimates: list[StationaryEstimate],
+                      series: dict[int, dict[str, np.ndarray]], base_ents: np.ndarray):
+    """The whole analysis of one experiment, in memory: (verdicts, tables, report lines).
+
+    `estimates` are the summary rows in grid order, `series` maps the grid
+    index of every non-stabilized estimate to its series columns, and
+    `base_ents` holds the uniform-sphere baseline entropies.  `tables` maps
+    each of the `ANALYSIS_FILES` that has rows to its (header, rows).
     """
-    exp = Path(exp_dir)
-    overrides = {"epsilon": epsilon, "lr_range": lr_range}
-    cfg = replace(load_config(exp / "config.ini"),
-                  **{name: v for name, v in overrides.items() if v is not None})
-    out = Path(out_dir) if out_dir is not None else exp
-    out.mkdir(parents=True, exist_ok=True)
-
-    all_estimates = read_summary(exp / "summary.csv")
-    usable = [e for e in all_estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
-    ensemble = cfg.ensemble()
-    base_ents = np.array([s for _, _, s in _baseline_rows(cfg, ensemble)])
+    usable = [e for e in estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
     base_s, base_s_std = float(base_ents.mean()), float(base_ents.std(ddof=1))
 
     kept_idx, exclusions = select_stationary_range(usable, base_s, base_s_std, cfg.lr_range)
-    for e in all_estimates:
-        if e not in usable:
-            exclusions.append((e.lr, "no stationary estimate"))
+    exclusions += [(e.lr, "no stationary estimate") for e in estimates if e not in usable]
     retained = [usable[i] for i in kept_idx]
 
-    report_lines = [f"experiment: {exp}", f"epsilon: {fmt(cfg.epsilon)}"]
-    for lr, reason in sorted(exclusions):
-        report_lines.append(f"excluded lr={fmt(lr)}: {reason}")
-
+    report_lines = [f"epsilon: {fmt(cfg.epsilon)}"]
+    report_lines += [f"excluded lr={fmt(lr)}: {reason}" for lr, reason in sorted(exclusions)]
     verdicts: dict = {"exclusions": exclusions}
+    tables = {}
 
-    non_stabilized = [e for e in usable if not e.stabilized]
     if len(retained) < 3:
-        if not non_stabilized:
-            raise MissingData(
-                f"only {len(retained)} stabilized learning rates after exclusions; "
-                "need >= 3 for temperature estimation"
-            )
+        if all(e.stabilized for e in usable):
+            raise MissingData(f"only {len(retained)} stabilized learning rates after exclusions; "
+                              "need >= 3 for temperature estimation")
         report_lines.append(
-            f"temperature curve: skipped ({len(retained)} retained learning rates < 3)"
-        )
+            f"temperature curve: skipped ({len(retained)} retained learning rates < 3)")
         verdicts["temperature_curve"] = None
     else:
         log_lrs = np.log([e.lr for e in retained])
         u_smooth = kernel_smooth_triangular(log_lrs, [e.loss_mean for e in retained], cfg.smoothing_h)
         s_smooth = kernel_smooth_triangular(log_lrs, [e.entropy_mean for e in retained], cfg.smoothing_h)
-        smoothed = [
-            replace(e, loss_mean=float(u), entropy_mean=float(s))
-            for e, u, s in zip(retained, u_smooth, s_smooth)
-        ]
-        _write_csv(out / "smoothed.csv", ["lr", "U", "S", "U_smooth", "S_smooth"], [
+        smoothed = [replace(e, loss_mean=float(u), entropy_mean=float(s))
+                    for e, u, s in zip(retained, u_smooth, s_smooth)]
+        tables["smoothed.csv"] = (["lr", "U", "S", "U_smooth", "S_smooth"], [
             [e.lr, e.loss_mean, e.entropy_mean, u, s] for e, u, s in zip(retained, u_smooth, s_smooth)
         ])
 
         curve = temperature_curve(smoothed, cfg.epsilon)
-        _write_csv(out / "temperature.csv", ["lr", "t_lo", "t_hi", "bound_only", "empty"], [
+        tables["temperature.csv"] = (["lr", "t_lo", "t_hi", "bound_only", "empty"], [
             [iv.lr, iv.t_lo, iv.t_hi, iv.bound_only, iv.empty] for iv in curve.intervals
         ])
         verdicts["temperature_curve"] = curve
         report_lines.append(f"monotone temperature: {'true' if curve.monotone else 'false'}")
 
-        interior = [iv for iv in curve.intervals if not iv.bound_only and not iv.empty]
-        finite_mids = [iv for iv in interior if math.isfinite(iv.midpoint)]
+        finite_mids = [iv for iv in curve.intervals if not iv.bound_only and math.isfinite(iv.midpoint)]
         consistent = 0
         for iv in finite_mids:
             f_vals, argmin = free_energy_curve(smoothed, iv.midpoint)
@@ -485,8 +466,7 @@ def analyze(
                 consistent += 1
         verdicts["free_energy_consistent"] = (consistent, len(finite_mids))
         report_lines.append(
-            f"free-energy minima within epsilon at their own lr: {consistent}/{len(finite_mids)}"
-        )
+            f"free-energy minima within epsilon at their own lr: {consistent}/{len(finite_mids)}")
 
         if finite_mids:
             picks = sorted({finite_mids[len(finite_mids) // 4].midpoint,
@@ -496,50 +476,69 @@ def analyze(
             for t in picks:
                 f_vals, argmin = free_energy_curve(smoothed, t)
                 fe_rows += [[t, e.lr, f_vals[i], i == argmin] for i, e in enumerate(smoothed)]
-            _write_csv(out / "free_energy.csv",
-                       ["temperature", "lr", "free_energy", "is_argmin"], fe_rows)
+            tables["free_energy.csv"] = (["temperature", "lr", "free_energy", "is_argmin"], fe_rows)
 
     # Finite-difference temperature and gradient phase diagram for runs that
     # never reached stationarity (the converging regime).
     fd_rows, law_rows = [], []
-    for idx, e in enumerate(all_estimates):
-        if e.stabilized:
-            continue
-        series = read_series(exp / series_filename(idx, e.lr))
-        has_ent = np.isfinite(series["entropy"])  # excludes the -inf collapse sentinel
+    for idx, run in series.items():
+        lr = estimates[idx].lr
+        has_ent = np.isfinite(run["entropy"])  # excludes the -inf collapse sentinel
         if np.count_nonzero(has_ent) > 2 * cfg.fd_dt:
-            iters = series["iter"][has_ent]
-            u = kernel_smooth_gaussian_logtime(iters, series["loss"][has_ent], cfg.smoothing_sigma)
-            s = kernel_smooth_gaussian_logtime(iters, series["entropy"][has_ent], cfg.smoothing_sigma)
+            iters = run["iter"][has_ent]
+            u = kernel_smooth_gaussian_logtime(iters, run["loss"][has_ent], cfg.smoothing_sigma)
+            s = kernel_smooth_gaussian_logtime(iters, run["entropy"][has_ent], cfg.smoothing_sigma)
             fd_idx, fd_vals = finite_difference_temperature(u, s, cfg.fd_dt)
-            fd_rows += [(e.lr, int(iters[j]), t) for j, t in zip(fd_idx, fd_vals)]
-        good = (series["full_grad_norm"] > 1e-290) & (series["mean_stoch_grad_norm"] > 1e-290)
+            fd_rows += [(lr, int(iters[j]), t) for j, t in zip(fd_idx, fd_vals)]
+        good = (run["full_grad_norm"] > 1e-290) & (run["mean_stoch_grad_norm"] > 1e-290)
         burn = max(1, np.count_nonzero(good) // 10)
-        gx = series["full_grad_norm"][good][burn:]
-        gy = series["mean_stoch_grad_norm"][good][burn:]
+        gx = run["full_grad_norm"][good][burn:]
+        gy = run["mean_stoch_grad_norm"][good][burn:]
         if gx.size >= 3 and np.ptp(np.log(gx)) > 0:
-            law = fit_power_law(gx, gy)
-            law_rows.append((e.lr, law))
+            law_rows.append((lr, fit_power_law(gx, gy)))
 
     if fd_rows:
-        _write_csv(out / "fd_temperature.csv", ["lr", "iter", "temperature"], fd_rows)
-        report_lines.append(
-            f"finite-difference temperature series written for "
-            f"{len({lr for lr, _, _ in fd_rows})} non-stabilized learning rates"
-        )
+        tables["fd_temperature.csv"] = (["lr", "iter", "temperature"], fd_rows)
+        report_lines.append(f"finite-difference temperature series written for "
+                            f"{len({lr for lr, _, _ in fd_rows})} non-stabilized learning rates")
     if law_rows:
-        _write_csv(out / "phase_law.csv", ["lr", "coefficient", "exponent", "r_squared"],
-                   [[lr, law.coefficient, law.exponent, law.r_squared] for lr, law in law_rows])
-        for lr, law in law_rows:
-            report_lines.append(
-                f"gradient phase-diagram power law at lr={fmt(lr)}: exponent {law.exponent:.4f}"
-            )
-    verdicts["fd_rows"] = fd_rows
-    verdicts["phase_laws"] = law_rows
+        tables["phase_law.csv"] = (["lr", "coefficient", "exponent", "r_squared"], [
+            [lr, law.coefficient, law.exponent, law.r_squared] for lr, law in law_rows
+        ])
+    report_lines += [f"gradient phase-diagram power law at lr={fmt(lr)}: exponent {law.exponent:.4f}"
+                     for lr, law in law_rows]
+    verdicts.update(fd_rows=fd_rows, phase_laws=law_rows)
+    return verdicts, tables, report_lines
 
-    (out / "report.txt").write_text("\n".join(report_lines) + "\n", encoding="utf-8")
-    for line in report_lines:
-        print(line)
+
+def analyze(exp_dir: str | Path, out_dir: str | Path | None = None,
+            lr_range: tuple[float, float] | None = None, epsilon: float | None = None) -> dict:
+    """Reduce an experiment directory to temperature/free-energy reports; returns the verdicts.
+
+    Reads config.ini, summary.csv and the series file of every non-stabilized
+    run before it creates the output directory.  There it writes report.txt
+    and each of the `ANALYSIS_FILES` that has rows, and removes the others.
+    """
+    exp = Path(exp_dir)
+    overrides = {"epsilon": epsilon, "lr_range": lr_range}
+    cfg = replace(load_config(exp / "config.ini"),
+                  **{name: v for name, v in overrides.items() if v is not None})
+    estimates = read_summary(exp / "summary.csv")
+    series = {idx: read_series(exp / series_filename(idx, e.lr))
+              for idx, e in enumerate(estimates) if not e.stabilized}
+    base_ents = np.array([s for _, _, s in _baseline_rows(cfg, cfg.ensemble())])
+    verdicts, tables, report_lines = reduce_experiment(cfg, estimates, series, base_ents)
+
+    out = Path(out_dir) if out_dir is not None else exp
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ANALYSIS_FILES:
+        if name in tables:
+            _write_csv(out / name, *tables[name])
+        else:
+            (out / name).unlink(missing_ok=True)
+    report = "\n".join([f"experiment: {exp}", *report_lines])
+    (out / "report.txt").write_text(report + "\n", encoding="utf-8")
+    print(report)
     return verdicts
 
 

@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 import sgdtherm as st
+from sgdtherm import cli
 from sgdtherm.cli import (
+    ANALYSIS_FILES,
     DEFAULT_LR_GRID,
     INI_KEYS,
     INI_SECTIONS,
@@ -23,18 +25,20 @@ from sgdtherm.cli import (
     main,
     read_series,
     read_summary,
+    reduce_experiment,
     run_grid,
     save_config,
     verify_oracles,
     write_series,
     write_summary,
 )
-from sgdtherm.errors import InvalidConfig, MissingData, TooFewSamples
+from sgdtherm.errors import InvalidConfig, MissingData, NonFinite, TooFewSamples
 
 
 TOY_OP_SMALL = """\
 [model]
 kind = toy_op
+hessian_scale = 1
 
 [grid]
 lrs = 4.8e-3, 1.1e-2, 2.3e-2
@@ -94,7 +98,7 @@ def write_config(tmp_path, text, name="exp.ini"):
 
 # Every field set to a value other than its default.
 EVERY_FIELD = ExperimentConfig(
-    model="quadratic", dim=4, components=5, model_seed=11, hessian_scale=2.5,
+    model="hyperplane", dim=4, components=5, model_seed=11,
     lr_grid=(1e-3, 0.37), batch_size=2, total_iters=777, seed=42,
     checkpoints_per_decade=7, loss_stop_threshold=1e-14, k=5, window=60,
     epsilon=0.125, tail_fraction=0.3, smoothing_h=0.45, smoothing_sigma=0.2, fd_dt=3,
@@ -300,8 +304,80 @@ class TestRunGrid:
         for f1 in sorted(out1.glob("*.csv")):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
 
+    def test_failed_chain_creates_no_directory(self, tmp_path, monkeypatch):
+        cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
+        real = cli.run_seeded
+
+        def fail_on_second_lr(ensemble, sgd, entropy):
+            if sgd.learning_rate == cfg.lr_grid[1]:
+                raise NonFinite("injected")
+            return real(ensemble, sgd, entropy)
+
+        monkeypatch.setattr(cli, "run_seeded", fail_on_second_lr)
+        with pytest.raises(NonFinite):
+            run_grid(cfg, out_dir=tmp_path / "exp")
+        assert not (tmp_path / "exp").exists()
+
 
 class TestAnalyze:
+    @pytest.fixture(scope="class")
+    def up_experiment(self, tmp_path_factory):
+        """A toy_up experiment with a temperature curve and one non-stabilized run (lr 0.021)."""
+        tmp = tmp_path_factory.mktemp("up")
+        text = UP_SMALL.replace("lrs = 6.9e-3", "lrs = 1e-5, 6.9e-3")
+        exp = run_grid(load_config(write_config(tmp, text)), out_dir=tmp / "exp")
+        assert [e.lr for e in read_summary(exp / "summary.csv") if not e.stabilized] == [2.1e-2]
+        return exp
+
+    def test_fewer_retained_lrs_remove_stale_curve_files(self, tmp_path, up_experiment):
+        exp = shutil.copytree(up_experiment, tmp_path / "exp")
+        assert analyze(exp)["temperature_curve"] is not None
+        assert all((exp / name).exists() for name in ANALYSIS_FILES)
+        assert analyze(exp, lr_range=(6e-3, 1.3e-2))["temperature_curve"] is None
+        for name in ("smoothed.csv", "temperature.csv", "free_energy.csv"):
+            assert not (exp / name).exists()
+        assert (exp / "fd_temperature.csv").exists()
+        assert "temperature curve: skipped" in (exp / "report.txt").read_text()
+
+    def test_unreadable_series_changes_no_file(self, tmp_path, capsys, up_experiment):
+        exp = shutil.copytree(up_experiment, tmp_path / "exp")
+        analyze(exp)
+        (path,) = exp.glob("series_03_*.csv")
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join([*lines[:5], "1,2", *lines[6:]]))
+        before = {p.name: p.read_bytes() for p in exp.iterdir()}
+        assert main(["analyze", str(exp), "--epsilon", "0.02"]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
+
+    def test_reduce_experiment_is_pure(self, tmp_path, monkeypatch, capsys):
+        """Decades apart, the h = 0.3 smoothing keeps every point; dyadic values make the curve exact."""
+        estimates = [st.StationaryEstimate(1e-3, 0.25, -2.0, 0.0, 0.0, True),
+                     st.StationaryEstimate(1e-2, 0.5, -1.0, 0.0, 0.0, True),
+                     st.StationaryEstimate(1e-1, 1.0, -0.5, 0.0, 0.0, True)]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        verdicts, tables, lines = reduce_experiment(
+            ExperimentConfig(epsilon=0.0), estimates, {}, np.array([4.0, 4.5]))
+        assert list(cwd.iterdir()) == []
+        assert capsys.readouterr() == ("", "")
+        assert tables["temperature.csv"] == (["lr", "t_lo", "t_hi", "bound_only", "empty"], [
+            [1e-3, 0.0, 0.25, True, False],
+            [1e-2, 0.25, 1.0, False, False],
+            [1e-1, 1.0, math.inf, True, False],
+        ])
+        assert tables["smoothed.csv"][1] == [[e.lr, e.loss_mean, e.entropy_mean, e.loss_mean,
+                                              e.entropy_mean] for e in estimates]
+        assert tables["free_energy.csv"][1] == [[0.625, 1e-3, 1.5, False], [0.625, 1e-2, 1.125, True],
+                                                [0.625, 1e-1, 1.3125, False]]
+        assert sorted(tables) == ["free_energy.csv", "smoothed.csv", "temperature.csv"]
+        assert verdicts["temperature_curve"].monotone
+        assert verdicts["free_energy_consistent"] == (1, 1)
+        assert verdicts["exclusions"] == verdicts["fd_rows"] == verdicts["phase_laws"] == []
+        assert lines == ["epsilon: 0", "monotone temperature: true",
+                         "free-energy minima within epsilon at their own lr: 1/1"]
+
     def test_converging_runs_get_fd_section_but_no_curve(self, tmp_path):
         """All-OP small-lr directories: fd temperature present, curve skipped."""
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
@@ -374,6 +450,7 @@ class TestMainEntryPoint:
 
     @pytest.mark.parametrize("old, new, extra", [
         ("kind = toy_op", "kind = bogus", []),
+        ("kind = toy_op", "kind = quadratic", []),
         ("seed = 77", "seed = -1", []),
         ("kind = toy_op", "kind = toy_op\nmodel_seed = -1", []),
         ("lrs = 4.8e-3, 1.1e-2, 2.3e-2", "lrs = nan", []),
@@ -398,7 +475,7 @@ class TestMainEntryPoint:
         ("checkpoints_per_decade = 20", "checkpoints_per_decade = 1", []),
         ("", "", ["--jobs", "0"]),
         ("", "", ["--jobs", "-1"]),
-    ], ids=["bad-kind", "negative-seed", "negative-model-seed",
+    ], ids=["bad-kind", "quadratic-kind", "negative-seed", "negative-model-seed",
             "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag",
             "batch-too-large", "zero-k", "window-not-above-k",
             "tail-fraction-above-half", "zero-tail-fraction",
@@ -420,10 +497,11 @@ class TestMainEntryPoint:
 
     @pytest.mark.parametrize("flags", [
         ["--epsilon", "nan"], ["--epsilon", "-1"], ["--epsilon", "inf"],
-        ["--lr-range", "nan:nan"], ["--lr-range", "1e-3:inf"], ["--lr-range", "1e-3"],
+        ["--lr-range", "nan:nan"], ["--lr-range", "1e-3:inf"], ["--lr-range", "1e-3"], [],
     ], ids=["nan-epsilon", "negative-epsilon", "inf-epsilon",
-            "nan-lr-range", "inf-lr-range", "lr-range-without-colon"])
+            "nan-lr-range", "inf-lr-range", "lr-range-without-colon", "missing-summary"])
     def test_invalid_analyze_override_exits_2(self, tmp_path, capsys, flags):
+        """Every case fails before `analyze` creates its output; the experiment has no summary.csv."""
         exp = tmp_path / "exp"
         exp.mkdir()
         save_config(ExperimentConfig(), exp / "config.ini")
@@ -434,11 +512,11 @@ class TestMainEntryPoint:
 
     @pytest.fixture(scope="class")
     def small_experiment(self, tmp_path_factory):
-        """A TOY_OP_SMALL experiment that `analyze` reads in full: no run is stabilized."""
+        """An analyzed TOY_OP_SMALL experiment that `analyze` reads in full: no run is stabilized."""
         tmp = tmp_path_factory.mktemp("experiment")
         exp = run_grid(load_config(write_config(tmp, TOY_OP_SMALL)), out_dir=tmp / "exp")
         assert not any(e.stabilized for e in read_summary(exp / "summary.csv"))
-        assert main(["analyze", str(exp), "--out", str(tmp / "report")]) == 0
+        assert main(["analyze", str(exp)]) == 0
         return exp
 
     @pytest.mark.parametrize("pattern, edit", [
@@ -456,11 +534,13 @@ class TestMainEntryPoint:
         lines = path.read_text(encoding="utf-8").split("\n")
         # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
         path.write_bytes("\n".join(edit(lines)).encode("latin-1"))
+        before = {p.name: p.read_bytes() for p in exp.iterdir()}
         assert main(["analyze", str(exp)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert str(path) in err
         assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
 
     def test_missing_experiment_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2
