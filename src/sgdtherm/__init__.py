@@ -26,34 +26,22 @@ from .analysis import (
     uniform_sphere_samples,
 )
 from .closed_form import (
-    PolarParams,
     central_meridian_snr,
     factorization_residual,
     hessian_ensemble_snr,
     two_circle_snr_sq,
-    two_circle_snr_sq_polar,
 )
 from .ensembles import (
     HyperplaneEnsemble,
     QuadraticEnsemble,
-    circle_grad,
-    circle_loss,
-    hyperplane_loss_and_grad,
     make_circle_pair,
     make_toy_op,
     make_toy_up,
-    quadratic_loss_and_grad,
     random_hyperplane_ensemble,
     random_quadratic_ensemble,
 )
-from .entropy import (
-    EntropyConfig,
-    degenerate_edge_count,
-    knn_entropy,
-    knn_neighbor_distances,
-    knn_total_edge_length,
-)
-from .gradients import GradientStats, gradient_stats, snr_from_gradients, snr_two_component
+from .entropy import EntropyConfig, knn_entropy, knn_total_edge_length
+from .gradients import GradientStats, gradient_stats, snr_from_gradients
 from .sphere import (
     SgdConfig,
     TrajectoryLog,
@@ -63,7 +51,6 @@ from .sphere import (
     run_seeded,
     run_trajectory,
     sample_batch,
-    sgd_step,
 )
 
 __version__ = "0.1.0"

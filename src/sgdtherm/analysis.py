@@ -332,14 +332,11 @@ def uniform_sphere_baseline(
 
 
 def full_losses(ensemble, ws: np.ndarray) -> np.ndarray:
-    """Full-ensemble loss at each row of ws (vectorized where the ensemble allows)."""
-    normals = getattr(ensemble, "normals", None)
+    """Full hyperplane-ensemble loss at each row of ws, vectorized."""
     ws = np.asarray(ws, dtype=float)
-    if normals is not None:
-        a = ws @ normals.T
-        sq = np.einsum("ij,ij->i", ws, ws)
-        return (a * a).mean(axis=1) / (2.0 * sq)
-    return np.array([ensemble.full_loss(w) for w in ws])
+    a = ws @ ensemble.normals.T
+    sq = np.einsum("ij,ij->i", ws, ws)
+    return (a * a).mean(axis=1) / (2.0 * sq)
 
 
 def select_stationary_range(

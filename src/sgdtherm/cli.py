@@ -152,8 +152,8 @@ class ExperimentConfig:
             raise InvalidConfig("[grid] lrs must all be positive")
         if any(b <= a for a, b in zip(self.lr_grid, self.lr_grid[1:])):
             raise InvalidConfig("[grid] lrs must be strictly increasing")
-        if self.model == "hyperplane" and (self.dim < 2 or self.components < 1):
-            raise InvalidConfig("[model] dim must be >= 2 and components >= 1")
+        if self.model == "hyperplane" and (self.dim < 2 or self.components < 2):
+            raise InvalidConfig("[model] dim must be >= 2 and components >= 2")
         if self.lr_range is not None:
             if not all(math.isfinite(b) for b in self.lr_range):
                 raise InvalidConfig("[analysis] lr_range bounds must be finite")

@@ -16,7 +16,6 @@ measured gradient statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +27,6 @@ _DENOM_FLOOR = 1e-14
 def _check_half_angle(half_angle: float) -> None:
     if not 0.0 < half_angle < math.pi / 4:
         raise DomainViolation(f"half_angle must lie strictly inside (0, pi/4), got {half_angle}")
-
-
-@dataclass(frozen=True)
-class PolarParams:
-    """Polar coordinates (x, y) = (radial*sin(azimuth), radial*cos(azimuth)).
-
-    The azimuth is measured from the central meridian (the great circle
-    halfway between the two loss circles); the domain keeps the point in
-    the wedge between the circles.
-    """
-
-    half_angle: float
-    radial: float
-    azimuth: float
-
-    def __post_init__(self):
-        _check_half_angle(self.half_angle)
-        if not 0.0 < self.radial <= 1.0:
-            raise DomainViolation("radial must lie in (0, 1]")
-        if abs(self.azimuth) > self.half_angle:
-            raise DomainViolation("azimuth must lie in [-half_angle, half_angle]")
-
-    def to_xy(self) -> tuple[float, float]:
-        return (
-            self.radial * math.sin(self.azimuth),
-            self.radial * math.cos(self.azimuth),
-        )
 
 
 def two_circle_snr_sq(x: float, y: float, half_angle: float) -> float:
@@ -74,13 +46,6 @@ def two_circle_snr_sq(x: float, y: float, half_angle: float) -> float:
         raise DegeneratePoint(f"SNR denominator vanishes at (x={x}, y={y})")
     num = x2 * c2 * c2 + y2 * s2 * s2 - (x2 * c2 + y2 * s2) ** 2
     return num / denom
-
-
-def two_circle_snr_sq_polar(radial: float, azimuth: float, half_angle: float) -> float:
-    """two_circle_snr_sq at (x, y) = (radial*sin(azimuth), radial*cos(azimuth))."""
-    p = PolarParams(half_angle=half_angle, radial=radial, azimuth=azimuth)
-    x, y = p.to_xy()
-    return two_circle_snr_sq(x, y, half_angle)
 
 
 def central_meridian_snr(radial: float, half_angle: float) -> float:

@@ -3,14 +3,15 @@
 Hyperplane ensembles are scale-invariant and live on the unit sphere:
 component i is half the squared distance to a hyperplane through the origin,
 normalized by ||w||^2.  In 3D each zero set is a great circle, as in the toy
-ensembles `make_toy_op`, `make_toy_up` and `make_circle_pair`.
+ensembles `make_toy_op`, `make_toy_up` and `make_circle_pair`.  They are the
+only ensembles `sphere.run_trajectory` simulates.  Whether every per-example
+loss can vanish simultaneously distinguishes the overparameterized (OP)
+regime from the underparameterized (UP) one: OP holds exactly when the
+normals do not span the full space.
 
-The second family is an unconstrained quadratic ensemble (per-component
-Hessians around a shared optimum), used to validate closed-form SNR
-expressions.  Whether every per-example loss can vanish simultaneously
-distinguishes the overparameterized (OP) regime from the underparameterized
-(UP) one: for the normal-vector families, OP holds exactly when the normals
-do not span the full space.
+The quadratic ensemble (per-component Hessians around a shared optimum) is
+an oracle model only: it provides the component gradients behind the
+closed-form check that its SNR does not depend on the displacement.
 """
 
 from __future__ import annotations
@@ -30,30 +31,6 @@ def _check_unit_rows(normals: np.ndarray) -> None:
         raise InvalidConfig("ensemble normals must have unit norm (within 1e-12)")
 
 
-def circle_loss(normal: np.ndarray, w: np.ndarray) -> float:
-    """Half squared plane distance, normalized: (normal . w)^2 / (2 ||w||^2).
-
-    Scale-invariant by construction: identical for w and c*w, c != 0.
-    """
-    w = np.asarray(w, dtype=float)
-    sq = float(w @ w)
-    if sq < 1e-300:
-        raise ZeroVector("loss undefined at the origin")
-    a = float(np.asarray(normal, dtype=float) @ w)
-    return a * a / (2.0 * sq)
-
-
-def circle_grad(normal: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient of circle_loss at a unit vector w: a*normal - a^2*w with a = normal . w.
-
-    Tangent to the sphere: grad . w = 0 up to rounding.
-    """
-    normal = np.asarray(normal, dtype=float)
-    w = np.asarray(w, dtype=float)
-    a = float(normal @ w)
-    return a * normal - (a * a) * w
-
-
 class HyperplaneEnsemble:
     """M unit normals in D dimensions; component i is (a_i . w)^2 / (2 ||w||^2).
 
@@ -61,8 +38,6 @@ class HyperplaneEnsemble:
     Regime: OP when the normals span a proper subspace (their common zero set
     on the sphere is nonempty), UP when they span all of R^D.
     """
-
-    spherical = True
 
     def __init__(self, normals: np.ndarray):
         normals = np.asarray(normals, dtype=float)
@@ -95,9 +70,6 @@ class HyperplaneEnsemble:
         a = self.normals @ w
         return a[:, None] * self.normals - (a * a)[:, None] * w[None, :]
 
-    def full_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.component_grads(w).mean(axis=0)
-
     def batch_grad(self, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Mean gradient over the indexed components (single-index fast path)."""
         if len(indices) == 1:
@@ -108,16 +80,6 @@ class HyperplaneEnsemble:
         a = sub @ w
         inv = 1.0 / a.size
         return inv * (a @ sub) - (inv * (a @ a)) * w
-
-
-def hyperplane_loss_and_grad(
-    ensemble: HyperplaneEnsemble, index: int, w: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Single-component loss and gradient at a unit vector w."""
-    if not 0 <= index < len(ensemble):
-        raise IndexError(f"component index {index} out of range [0, {len(ensemble)})")
-    normal = ensemble.normals[index]
-    return circle_loss(normal, w), circle_grad(normal, w)
 
 
 def make_toy_op() -> HyperplaneEnsemble:
@@ -166,12 +128,10 @@ def random_hyperplane_ensemble(
 class QuadraticEnsemble:
     """Per-component quadratics around a shared optimum (unconstrained).
 
-    Component i is 0.5 (w - optimum)^T H_i (w - optimum) with
-    symmetric PSD H_i; the full Hessian is the component mean.  Used for
-    validating direction-wise SNR identities, not for spherical runs.
+    Component i is 0.5 (w - optimum)^T H_i (w - optimum) with symmetric PSD
+    H_i.  An oracle model for direction-wise SNR identities: it has component
+    gradients but no loss or batch gradient, so it cannot be simulated.
     """
-
-    spherical = False
 
     optimum: np.ndarray
     hessians: np.ndarray  # (M, D, D)
@@ -185,54 +145,18 @@ class QuadraticEnsemble:
         if not np.allclose(self.hessians, np.swapaxes(self.hessians, 1, 2), atol=1e-12):
             raise InvalidConfig("component Hessians must be symmetric within 1e-12")
 
-    def __len__(self) -> int:
-        return self.hessians.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.optimum.shape[0]
-
-    @property
-    def full_hessian(self) -> np.ndarray:
-        return self.hessians.mean(axis=0)
-
-    def full_loss(self, w: np.ndarray) -> float:
-        d = np.asarray(w, dtype=float) - self.optimum
-        return float((0.5 * np.einsum("mij,i,j->m", self.hessians, d, d)).mean())
-
     def component_grads(self, w: np.ndarray) -> np.ndarray:
         d = np.asarray(w, dtype=float) - self.optimum
         return np.einsum("mij,j->mi", self.hessians, d)
 
-    def full_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.component_grads(w).mean(axis=0)
 
-    def batch_grad(self, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
-        d = np.asarray(w, dtype=float) - self.optimum
-        return np.einsum("mij,j->mi", self.hessians[indices], d).mean(axis=0)
-
-
-def quadratic_loss_and_grad(
-    ensemble: QuadraticEnsemble, index: int, w: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Single-component quadratic loss and gradient H_i (w - optimum)."""
-    if not 0 <= index < len(ensemble):
-        raise IndexError(f"component index {index} out of range [0, {len(ensemble)})")
-    d = np.asarray(w, dtype=float) - ensemble.optimum
-    h = ensemble.hessians[index]
-    loss = float(0.5 * d @ h @ d)
-    return loss, h @ d
-
-
-def random_quadratic_ensemble(
-    dim: int, components: int, seed: int, scale: float = 1.0
-) -> QuadraticEnsemble:
+def random_quadratic_ensemble(dim: int, components: int, seed: int) -> QuadraticEnsemble:
     """Random PSD quadratic ensemble: H_i = G_i^T G_i / dim, optimum at the origin.
 
     Every stochastic gradient vanishes at the optimum (the interpolation property).
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((components, dim, dim))
-    hessians = scale * np.einsum("mki,mkj->mij", g, g) / dim
+    hessians = np.einsum("mki,mkj->mij", g, g) / dim
     hessians = 0.5 * (hessians + np.swapaxes(hessians, 1, 2))
     return QuadraticEnsemble(optimum=np.zeros(dim), hessians=hessians)

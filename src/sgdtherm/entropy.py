@@ -50,12 +50,12 @@ def _as_sample_matrix(samples) -> np.ndarray:
     return x
 
 
-def knn_neighbor_distances(samples, k: int) -> np.ndarray:
-    """(N, k) Euclidean distances from each point to its k nearest neighbors.
+def knn_total_edge_length(samples, k: int) -> float:
+    """Total edge length of the directed k-NN graph (N*k edges).
 
-    The k distances per row form the exact smallest multiset (ties at the
-    k-th distance contribute the tied value, so the row sum is unambiguous);
-    they are not returned in sorted order.
+    Each point contributes the distances to its k nearest neighbors, the
+    exact smallest multiset: a tie at the k-th distance contributes the tied
+    value, so the sum is unambiguous.
     """
     x = _as_sample_matrix(samples)
     n = x.shape[0]
@@ -70,17 +70,7 @@ def knn_neighbor_distances(samples, k: int) -> np.ndarray:
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
         out[start:stop] = np.partition(d2, k - 1, axis=1)[:, :k]
-    return np.sqrt(out)
-
-
-def knn_total_edge_length(samples, k: int) -> float:
-    """Total edge length of the directed k-NN graph (N*k edges)."""
-    return float(knn_neighbor_distances(samples, k).sum())
-
-
-def degenerate_edge_count(samples, k: int) -> int:
-    """Number of zero-length k-NN edges (coincident sample pairs)."""
-    return int(np.count_nonzero(knn_neighbor_distances(samples, k) == 0.0))
+    return float(np.sqrt(out).sum())
 
 
 def knn_entropy(samples, k: int, dim: int | None = None) -> float:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 
 @dataclass(frozen=True)
 class GradientStats:
@@ -49,18 +47,3 @@ def gradient_stats(ensemble, w: np.ndarray) -> GradientStats:
     """Gradient statistics of an ensemble at w, over all components."""
     return snr_from_gradients(ensemble.component_grads(w))
 
-
-def snr_two_component(g1: np.ndarray, g2: np.ndarray) -> float | None:
-    """Two-component SNR: ||g1 + g2|| / ||g1 - g2||, None when g1 = g2.
-
-    Agrees with gradient_stats on any two-component ensemble: with M = 2 the
-    deviation of each component from the mean is (g1 - g2) / 2.
-    """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if g1.shape != g2.shape:
-        raise DimensionMismatch(f"shapes {g1.shape} and {g2.shape} differ")
-    denom = float(np.linalg.norm(g1 - g2))
-    if denom == 0.0:
-        return None
-    return float(np.linalg.norm(g1 + g2)) / denom

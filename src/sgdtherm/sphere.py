@@ -2,9 +2,10 @@
 
 A trajectory is a sequence of weight vectors w_t with ||w_t|| = 1, produced
 by w <- normalize(w - lr * g) where g is the mean gradient of a uniformly
-sampled batch of loss components.  Metrics (full loss, gradient norms, SNR,
-and a trailing-window entropy estimate) are logged at iterations spaced
-uniformly in log scale, plus iteration 1 and the final iteration.
+sampled batch of loss components; this projected step is the only update
+rule.  Metrics (full loss, gradient norms, SNR, and a trailing-window
+entropy estimate) are logged at iterations spaced uniformly in log scale,
+plus iteration 1 and the final iteration.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ def project_to_sphere(v: np.ndarray) -> np.ndarray:
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the unit sphere: standard normal sample, projected."""
     return project_to_sphere(rng.standard_normal(dim))
-
-
-def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """One projected update: normalize(w - lr * grad)."""
-    return project_to_sphere(w - lr * np.asarray(grad, dtype=float))
 
 
 def sample_batch(ensemble_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,7 +150,10 @@ def run_trajectory(
     entropy: EntropyConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> TrajectoryLog:
-    """Run projected SGD (or plain descent for unconstrained ensembles).
+    """Run projected SGD on a hyperplane ensemble from `init`, projected first.
+
+    Every step is w <- (w - lr * g) / ||w - lr * g||; a step whose result
+    has (numerically) zero norm raises ZeroVector.
 
     The trailing `entropy.window` weights are kept in a ring buffer; at every
     checkpoint with a full buffer the k-NN entropy of the buffer is logged,
@@ -166,7 +165,7 @@ def run_trajectory(
     entropy = entropy or EntropyConfig()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    w = np.asarray(init, dtype=float).copy()
+    w = np.asarray(init, dtype=float)
     if w.shape != (ensemble.dim,):
         raise DimensionMismatch(
             f"init has shape {w.shape}, ensemble dimension is {ensemble.dim}"
@@ -175,9 +174,7 @@ def run_trajectory(
         raise BatchTooLarge(
             f"batch_size {cfg.batch_size} > ensemble size {len(ensemble)}"
         )
-    spherical = ensemble.spherical
-    if spherical:
-        w = project_to_sphere(w)
+    w = project_to_sphere(w)
 
     schedule = checkpoint_schedule(cfg.total_iters, cfg.checkpoints_per_decade).tolist()
     n_schedule = len(schedule)
@@ -219,14 +216,11 @@ def run_trajectory(
     for t in range(1, cfg.total_iters + 1):
         idx = sample_batch(m, batch_size, rng)
         g = batch_grad(idx, w)
-        if spherical:
-            v = w - lr * g
-            nrm = np.sqrt(v @ v)
-            if nrm < _NORM_FLOOR:
-                raise ZeroVector(f"weights collapsed to zero at iteration {t}")
-            w = v / nrm
-        else:
-            w = w - lr * g
+        v = w - lr * g
+        nrm = np.sqrt(v @ v)
+        if nrm < _NORM_FLOOR:
+            raise ZeroVector(f"weights collapsed to zero at iteration {t}")
+        w = v / nrm
         ring_append(w.copy())
 
         at_checkpoint = next_cp < n_schedule and t == schedule[next_cp]

