@@ -370,8 +370,11 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     indices = list(range(len(cfg.lr_grid)))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork-based pool starts all of its workers up front, so ask for no
+    # more than there are learning rates to run.
+    workers = min(jobs, len(indices))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [cfg] * len(indices), indices))
     else:
         results = [_run_one(cfg, i) for i in indices]

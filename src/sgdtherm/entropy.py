@@ -11,6 +11,14 @@ Neighbor search is exact brute force.  Pairwise squared distances are
 computed on mean-centered samples via the Gram matrix, which keeps the
 computation O(N^2 D), deterministic, and numerically stable even for
 windows concentrated in a tiny region far from the origin.
+
+The N x N distance matrix is never formed.  It is walked in tiles of 32
+rows, which stay in L2 cache, through one distance buffer and one Gram
+buffer that every tile reuses.  At the default window a tile's Gram product
+is small enough that OpenBLAS runs it on the calling thread.  The
+arithmetic is the same as on the whole matrix: sq_i + sq_j - 2.0 * G in that order, clamped at 0,
+partitioned per row, then the square roots of the (N, k) neighbor block
+summed in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +29,10 @@ import numpy as np
 
 from .errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
 
-_CHUNK_ROWS = 2048
+# 32 rows of N = 1000 doubles are 256 KB, so a tile stays in L2, and a
+# 32 x D x 1000 product with D < 16 is below the size at which OpenBLAS
+# splits a GEMM across threads.
+_TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,8 @@ def knn_total_edge_length(samples, k: int) -> float:
     exact smallest multiset: a tie at the k-th distance contributes the tied
     value, so the sum is unambiguous.
     """
+    if k < 1:
+        raise InvalidConfig(f"k must be >= 1, got {k}")
     x = _as_sample_matrix(samples)
     n = x.shape[0]
     if n <= k:
@@ -64,12 +77,24 @@ def knn_total_edge_length(samples, k: int) -> float:
     centered = x - x.mean(axis=0)
     sq = np.einsum("ij,ij->i", centered, centered)
     out = np.empty((n, k))
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (centered[start:stop] @ centered.T)
+    rows = min(_TILE_ROWS, n)
+    d2_tile = np.empty((rows, n))
+    gram_tile = np.empty((rows, n))
+    bounds = list(range(0, n, rows)) + [n]
+    if bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1  # numpy takes a one-row product by gemv, which rounds unlike gemm
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        m = stop - start
+        d2, g = d2_tile[:m], gram_tile[:m]
+        # Same operations, in the same order, as sq_i + sq_j - 2.0 * G.
+        np.add(sq[start:stop, None], sq[None, :], out=d2)
+        np.matmul(centered[start:stop], centered.T, out=g)
+        g *= 2.0
+        np.subtract(d2, g, out=d2)
         np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        out[start:stop] = np.partition(d2, k - 1, axis=1)[:, :k]
+        d2[np.arange(m), np.arange(start, stop)] = np.inf
+        d2.partition(k - 1, axis=1)
+        out[start:stop] = d2[:, :k]
     return float(np.sqrt(out).sum())
 
 

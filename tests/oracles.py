@@ -142,3 +142,31 @@ def degenerate_edge_count(samples, k: int) -> int:
     dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
     return int(np.minimum(np.count_nonzero(dist == 0.0, axis=1), k).sum())
+
+
+def knn_edge_length_one_block(samples, k: int) -> float:
+    """k-NN total edge length from the whole N x N squared-distance matrix at once.
+
+    The same operations, in the same order, as the package's row tiles:
+    sq_i + sq_j - 2.0 * G on mean-centered samples, clamped at 0, with an
+    `inf` diagonal, partitioned per row at k - 1, then sqrt and sum over the
+    (N, k) block of neighbor distances.
+    """
+    x = np.asarray(samples, dtype=float)
+    centered = x - x.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(np.partition(d2, k - 1, axis=1)[:, :k]).sum())
+
+
+def knn_edge_length_brute_force(samples, k: int) -> float:
+    """k-NN total edge length from the norms of pairwise differences, row by row."""
+    x = np.asarray(samples, dtype=float)
+    total = 0.0
+    for i in range(x.shape[0]):
+        dist = np.linalg.norm(x - x[i], axis=1)
+        dist[i] = np.inf
+        total += np.sort(dist)[:k].sum()
+    return total

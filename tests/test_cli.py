@@ -304,6 +304,36 @@ class TestRunGrid:
         for f1 in sorted(out1.glob("*.csv")):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
 
+    @pytest.mark.parametrize("n_lrs, jobs, workers",
+                             [(3, 2, [2]), (3, 3, [3]), (3, 64, [3]), (1, 64, [])])
+    def test_pool_starts_no_more_workers_than_lrs(self, tmp_path, monkeypatch,
+                                                  n_lrs, jobs, workers):
+        """A pool is sized by min(jobs, number of lrs); no real pool is started here."""
+        cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
+        cfg = replace(cfg, lr_grid=cfg.lr_grid[:n_lrs])
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out1 = run_grid(cfg, out_dir=tmp_path / "serial", jobs=1)
+        assert requested == []
+        out2 = run_grid(cfg, out_dir=tmp_path / "pooled", jobs=jobs)
+        assert requested == workers
+        for f1 in sorted(out1.glob("*.csv")):
+            assert f1.read_bytes() == (out2 / f1.name).read_bytes()
+
     def test_failed_chain_creates_no_directory(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
         real = cli.run_seeded

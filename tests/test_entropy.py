@@ -5,6 +5,23 @@ import oracles
 import sgdtherm as st
 from sgdtherm.errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
 
+TILE_K = 5
+
+
+def zero_edge_slack(x, k):
+    """How far sq_i + sq_j - 2 G may read the edges between coincident rows above 0.
+
+    sq_i, sq_j and G_ij each carry a rounding error of up to about
+    (dim + 1) eps |c|^2, so for two coincident centered rows c the squared
+    distance reads up to 4 (dim + 1) eps |c|^2 instead of 0, and the distance
+    up to 2 sqrt((dim + 1) eps) |c|.  A row with m coincident partners has
+    min(m, k) such edges.  Rows with no coincident partner get no slack.
+    """
+    _, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+    zero_edges = np.minimum(counts[inverse.ravel()] - 1, k).sum()
+    norms = np.linalg.norm(x - x.mean(axis=0), axis=1)
+    return zero_edges * 2.0 * np.sqrt((x.shape[1] + 1) * np.finfo(float).eps) * norms.max()
+
 
 class TestTotalEdgeLength:
     def test_two_points_on_a_line(self):
@@ -31,6 +48,27 @@ class TestTotalEdgeLength:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             st.knn_total_edge_length(np.zeros((5, 2)), 5)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InvalidConfig):
+            st.knn_total_edge_length(np.random.default_rng(0).standard_normal((10, 2)), k)
+
+    @pytest.mark.parametrize("cloud", ["uniform", "concentrated_far", "duplicated_rows"])
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    @pytest.mark.parametrize("n", [TILE_K + 1, 31, 32, 33, 65, 1000, 2049])
+    def test_row_tiles_match_one_block(self, n, dim, cloud):
+        """Tiles of 32 rows reproduce the whole-matrix formula exactly, at every boundary."""
+        rng = np.random.default_rng(1000 * n + dim)
+        x = rng.uniform(-1.0, 1.0, size=(n, dim))
+        if cloud == "concentrated_far":
+            x = 1e-4 * x + 1e3 * rng.standard_normal(dim)
+        elif cloud == "duplicated_rows":
+            x[1::3] = x[rng.integers(0, n, size=x[1::3].shape[0])]
+        tiled = st.knn_total_edge_length(x, TILE_K)
+        assert tiled == oracles.knn_edge_length_one_block(x, TILE_K)
+        np.testing.assert_allclose(tiled, oracles.knn_edge_length_brute_force(x, TILE_K),
+                                   rtol=1e-12, atol=zero_edge_slack(x, TILE_K))
 
     def test_duplicates_counted_not_fatal(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
