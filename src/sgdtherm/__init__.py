@@ -40,7 +40,7 @@ from .ensembles import (
     random_hyperplane_ensemble,
     random_quadratic_ensemble,
 )
-from .entropy import EntropyConfig, knn_entropy, knn_total_edge_length
+from .entropy import knn_entropy, knn_total_edge_length
 from .gradients import GradientStats, gradient_stats, snr_from_gradients
 from .sphere import (
     SgdConfig,
@@ -49,7 +49,6 @@ from .sphere import (
     project_to_sphere,
     random_unit_vector,
     run_seeded,
-    run_trajectory,
     sample_batch,
 )
 

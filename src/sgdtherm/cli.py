@@ -60,7 +60,6 @@ from .ensembles import (
     random_hyperplane_ensemble,
     random_quadratic_ensemble,
 )
-from .entropy import EntropyConfig
 from .errors import (
     DegeneratePoint,
     InvalidConfig,
@@ -110,11 +109,7 @@ INI_KEYS = {"model": "kind", "lr_grid": "lrs", "output_dir": "dir"}
 
 
 def fmt(x: float) -> str:
-    """17-significant-digit float formatting shared by every CSV writer."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """17-significant-digit float formatting shared by every CSV writer; gives nan, inf, -inf."""
     return f"{x:.17g}"
 
 
@@ -175,8 +170,7 @@ class ExperimentConfig:
             raise InvalidConfig("[model] model_seed must be >= 0")
         # The simulation's own checks, run here so that nothing is written
         # before a bad config is rejected.
-        self.entropy_config()
-        self.sgd_config(self.lr_grid[0], self.seed)
+        self.chain_config(0)
         size = len(self.ensemble())
         if self.batch_size > size:
             raise InvalidConfig(f"[sgd] batch_size {self.batch_size} exceeds the ensemble size {size}")
@@ -195,18 +189,18 @@ class ExperimentConfig:
             return make_toy_up()
         return random_hyperplane_ensemble(self.dim, self.components, self.model_seed)
 
-    def sgd_config(self, lr: float, seed: int) -> SgdConfig:
+    def chain_config(self, index: int) -> SgdConfig:
+        """The chain of grid point `index`: its learning rate and seed, and the shared settings."""
         return SgdConfig(
-            learning_rate=lr,
+            learning_rate=self.lr_grid[index],
             batch_size=self.batch_size,
             total_iters=self.total_iters,
-            seed=seed,
+            seed=self.lr_seed(index),
             checkpoints_per_decade=self.checkpoints_per_decade,
             loss_stop_threshold=self.loss_stop_threshold,
+            k=self.k,
+            window=self.window,
         )
-
-    def entropy_config(self) -> EntropyConfig:
-        return EntropyConfig(k=self.k, window=self.window)
 
     def lr_seed(self, index: int) -> int:
         """Deterministic per-learning-rate seed derived from the root seed."""
@@ -285,9 +279,7 @@ def series_filename(index: int, lr: float) -> str:
 
 def _run_one(cfg: ExperimentConfig, index: int):
     """Simulate one learning rate; returns (log, estimate-or-None)."""
-    lr = cfg.lr_grid[index]
-    ensemble = cfg.ensemble()
-    log = run_seeded(ensemble, cfg.sgd_config(lr, cfg.lr_seed(index)), cfg.entropy_config())
+    log = run_seeded(cfg.ensemble(), cfg.chain_config(index))
     try:
         est = extract_stationary(log, tail_fraction=cfg.tail_fraction)
     except TooFewSamples:

@@ -4,7 +4,7 @@ Hyperplane ensembles are scale-invariant and live on the unit sphere:
 component i is half the squared distance to a hyperplane through the origin,
 normalized by ||w||^2.  In 3D each zero set is a great circle, as in the toy
 ensembles `make_toy_op`, `make_toy_up` and `make_circle_pair`.  They are the
-only ensembles `sphere.run_trajectory` simulates.  Whether every per-example
+only ensembles `sphere.run_seeded` simulates.  Whether every per-example
 loss can vanish simultaneously distinguishes the overparameterized (OP)
 regime from the underparameterized (UP) one: OP holds exactly when the
 normals do not span the full space.

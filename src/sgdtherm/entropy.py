@@ -23,8 +23,6 @@ summed in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
@@ -33,25 +31,6 @@ from .errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
 # 32 x D x 1000 product with D < 16 is below the size at which OpenBLAS
 # splits a GEMM across threads.
 _TILE_ROWS = 32
-
-
-@dataclass(frozen=True)
-class EntropyConfig:
-    """k-NN entropy settings: `k` neighbors over a window of `window` iterates.
-
-    A trajectory's entropy window is the trailing `window` iterates, read at
-    each checkpoint once that many have been taken (see
-    `sphere.run_trajectory`).
-    """
-
-    k: int = 50
-    window: int = 1000
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidConfig("k must be >= 1")
-        if self.window <= self.k:
-            raise InvalidConfig("window must exceed k")
 
 
 def _as_sample_matrix(samples) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyConfig, knn_entropy
+from .entropy import knn_entropy
 from .errors import (
     BatchTooLarge,
     DimensionMismatch,
@@ -72,7 +72,11 @@ def sample_batch(ensemble_size: int, batch_size: int, rng: np.random.Generator) 
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Hyperparameters of a single fixed-learning-rate run."""
+    """Everything that defines one fixed-learning-rate chain.
+
+    The k-NN entropy is read over the trailing `window` iterates with `k`
+    neighbors, at each checkpoint once that many have been taken.
+    """
 
     learning_rate: float
     batch_size: int = 1
@@ -80,20 +84,26 @@ class SgdConfig:
     seed: int = 0
     checkpoints_per_decade: int = 20
     loss_stop_threshold: float = 0.0  # 0 disables early stopping
+    k: int = 50
+    window: int = 1000
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidConfig("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1")
         if self.total_iters < 1:
             raise InvalidConfig("total_iters must be >= 1")
         if self.checkpoints_per_decade < 1:
             raise InvalidConfig("checkpoints_per_decade must be >= 1")
-        if self.loss_stop_threshold < 0:
-            raise InvalidConfig("loss_stop_threshold must be >= 0")
+        if not 0 <= self.loss_stop_threshold < np.inf:
+            raise InvalidConfig("loss_stop_threshold must be finite and >= 0")
         if self.seed < 0:
             raise InvalidConfig("seed must be unsigned")
+        if self.k < 1:
+            raise InvalidConfig("k must be >= 1")
+        if self.window <= self.k:
+            raise InvalidConfig("window must exceed k")
 
 
 def checkpoint_schedule(total_iters: int, per_decade: int) -> np.ndarray:
@@ -113,14 +123,15 @@ def checkpoint_schedule(total_iters: int, per_decade: int) -> np.ndarray:
 class TrajectoryLog:
     """Per-checkpoint metrics plus the last entropy window of the run.
 
-    `entropies[j]` is the k-NN entropy of the trailing `window` iterates at
-    checkpoint `entropy_iters[j]`; checkpoints before the window has filled
-    have no entropy.  `snapshots` holds the trailing iterates (at most
-    `window`) at the final iteration, so its last row is iteration
-    `final_iter`.  `snrs` holds NaN where the SNR is undefined (zero gradient
-    variance); `entropies` holds -inf where a window collapsed to identical
-    points.  Checkpoint iterations are strictly increasing and include the
-    final executed iteration.
+    `config` is the chain's SgdConfig, its window and k included.
+    `entropies[j]` is the k-NN entropy of the trailing `config.window`
+    iterates at checkpoint `entropy_iters[j]`; checkpoints before the window
+    has filled have no entropy.  `snapshots` holds the trailing iterates (at
+    most `config.window`) at the final iteration, so its last row is
+    iteration `final_iter`.  `snrs` holds NaN where the SNR is undefined (zero
+    gradient variance); `entropies` holds -inf where a window collapsed to
+    identical points.  Checkpoint iterations are strictly increasing and
+    include the final executed iteration.
     """
 
     iters: np.ndarray
@@ -143,29 +154,24 @@ class TrajectoryLog:
         return float(self.losses[-1])
 
 
-def run_trajectory(
-    ensemble,
-    init: np.ndarray,
-    cfg: SgdConfig,
-    entropy: EntropyConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> TrajectoryLog:
-    """Run projected SGD on a hyperplane ensemble from `init`, projected first.
+def run_seeded(ensemble, cfg: SgdConfig, init: np.ndarray | None = None) -> TrajectoryLog:
+    """Run projected SGD on a hyperplane ensemble; the whole run is a pure function of its inputs.
 
-    Every step is w <- (w - lr * g) / ||w - lr * g||; a step whose result
-    has (numerically) zero norm raises ZeroVector.
+    Without `init`, a uniform-sphere start is drawn from `cfg.seed` and batch
+    sampling continues on the same stream.  A given `init` is projected, and
+    batches come from a fresh generator seeded with `cfg.seed`.  Every step is
+    w <- (w - lr * g) / ||w - lr * g||; a step whose result has (numerically)
+    zero norm raises ZeroVector.
 
-    The trailing `entropy.window` weights are kept in a ring buffer; at every
+    The trailing `cfg.window` weights are kept in a ring buffer; at every
     checkpoint with a full buffer the k-NN entropy of the buffer is logged,
     anchored to the checkpoint iteration.  This ring is the only entropy
     window; its contents at the final iteration are returned as `snapshots`.
     Stops early once the full-ensemble loss falls below
     `cfg.loss_stop_threshold` (when nonzero).
     """
-    entropy = entropy or EntropyConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    w = np.asarray(init, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    w = random_unit_vector(ensemble.dim, rng) if init is None else np.asarray(init, dtype=float)
     if w.shape != (ensemble.dim,):
         raise DimensionMismatch(
             f"init has shape {w.shape}, ensemble dimension is {ensemble.dim}"
@@ -180,7 +186,7 @@ def run_trajectory(
     n_schedule = len(schedule)
     next_cp = 0
 
-    ring: deque[np.ndarray] = deque(maxlen=entropy.window)
+    ring: deque[np.ndarray] = deque(maxlen=cfg.window)
 
     iters, losses, g_norms, s_norms, snrs = [], [], [], [], []
     ent_iters, ent_vals = [], []
@@ -200,9 +206,9 @@ def run_trajectory(
         g_norms.append(stats.full_grad_norm)
         s_norms.append(stats.mean_stoch_norm)
         snrs.append(stats.snr_or_nan)
-        if len(ring) == entropy.window:
+        if len(ring) == cfg.window:
             try:
-                s = knn_entropy(np.asarray(ring), entropy.k)
+                s = knn_entropy(np.asarray(ring), cfg.k)
             except NonPositiveEdgeLength:
                 s = -np.inf  # collapsed (delta-like) window
             ent_iters.append(t)
@@ -221,7 +227,7 @@ def run_trajectory(
         if nrm < _NORM_FLOOR:
             raise ZeroVector(f"weights collapsed to zero at iteration {t}")
         w = v / nrm
-        ring_append(w.copy())
+        ring_append(w)  # no copy: w is a fresh array each step and is never written in place
 
         at_checkpoint = next_cp < n_schedule and t == schedule[next_cp]
         if at_checkpoint:
@@ -245,18 +251,3 @@ def run_trajectory(
         stopped_early=stopped,
         config=cfg,
     )
-
-
-def run_seeded(
-    ensemble,
-    cfg: SgdConfig,
-    entropy: EntropyConfig | None = None,
-) -> TrajectoryLog:
-    """Draw a uniform-sphere initial point from cfg.seed, then run the trajectory.
-
-    Initialization and batch sampling consume the same seeded stream, so the
-    whole run is a pure function of (ensemble, cfg).
-    """
-    rng = np.random.default_rng(cfg.seed)
-    init = random_unit_vector(ensemble.dim, rng)
-    return run_trajectory(ensemble, init, cfg, entropy=entropy, rng=rng)

@@ -49,9 +49,9 @@ def hyperplane_grid_results():
 def saturation_run():
     """Criterion 9 experiment: chaotic regime on a circle ensemble (D=2, M=100)."""
     ens = st.random_hyperplane_ensemble(2, 100, seed=7)
-    ecfg = st.EntropyConfig(k=50, window=500)
-    cfg = st.SgdConfig(learning_rate=1.0, batch_size=1, total_iters=80_000, seed=12)
-    log = st.run_seeded(ens, cfg, entropy=ecfg)
+    cfg = st.SgdConfig(learning_rate=1.0, batch_size=1, total_iters=80_000, seed=12,
+                       k=50, window=500)
+    log = st.run_seeded(ens, cfg)
     est = st.extract_stationary(log)
     baselines = [st.uniform_sphere_baseline(ens, 500, 50, seed=1000 + i) for i in range(10)]
     return ens, est, np.asarray(baselines)

@@ -157,6 +157,13 @@ class TestConfigParsing:
         assert cfg.loss_stop_threshold == 1e-16
         assert cfg.output_dir == "runs/toy_op"
 
+    def test_readme_quick_start_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        namespace = {}
+        exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), namespace)
+        assert len(namespace["grid"]) == len(namespace["curve"].intervals) == 5
+        assert 0 <= namespace["argmin"] < 5
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(hs.dictionaries(hs.sampled_from(INI_TABLE_KEYS), FUZZ_VALUES, max_size=8))
@@ -171,9 +178,8 @@ class TestConfigParsing:
         except InvalidConfig:
             return
         cfg.ensemble()
-        cfg.entropy_config()
-        for i, lr in enumerate(cfg.lr_grid):
-            cfg.sgd_config(lr, cfg.lr_seed(i))
+        for i in range(len(cfg.lr_grid)):
+            cfg.chain_config(i)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -197,8 +203,8 @@ class TestConfigParsing:
         largest = int(st.checkpoint_schedule(total_iters, per_decade)[-2])
         base = dict(model="toy_up", lr_grid=(0.05,), total_iters=total_iters,
                     checkpoints_per_decade=per_decade, tail_fraction=tail_fraction, k=5)
-        sgd = ExperimentConfig(window=largest, **base).sgd_config(0.05, 1)
-        logs = {w: st.run_seeded(st.make_toy_up(), sgd, st.EntropyConfig(k=5, window=w))
+        chain = ExperimentConfig(window=largest, **base).chain_config(0)
+        logs = {w: st.run_seeded(st.make_toy_up(), replace(chain, window=w))
                 for w in (largest, largest + 1)}
         st.extract_stationary(logs[largest], tail_fraction=tail_fraction)
         with pytest.raises(TooFewSamples):
@@ -338,10 +344,10 @@ class TestRunGrid:
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
         real = cli.run_seeded
 
-        def fail_on_second_lr(ensemble, sgd, entropy):
+        def fail_on_second_lr(ensemble, sgd):
             if sgd.learning_rate == cfg.lr_grid[1]:
                 raise NonFinite("injected")
-            return real(ensemble, sgd, entropy)
+            return real(ensemble, sgd)
 
         monkeypatch.setattr(cli, "run_seeded", fail_on_second_lr)
         with pytest.raises(NonFinite):
@@ -506,6 +512,8 @@ class TestMainEntryPoint:
         ("", "", ["--jobs", "0"]),
         ("", "", ["--jobs", "-1"]),
         ("kind = toy_op", "kind = hyperplane\ndim = 3\ncomponents = 1", []),
+        ("loss_stop_threshold = 0.0", "loss_stop_threshold = nan", []),
+        ("loss_stop_threshold = 0.0", "loss_stop_threshold = inf", []),
     ], ids=["bad-kind", "quadratic-kind", "negative-seed", "negative-model-seed",
             "nan-lr", "inf-lr", "neg-inf-lr", "negative-seed-flag",
             "batch-too-large", "zero-k", "window-not-above-k",
@@ -513,7 +521,7 @@ class TestMainEntryPoint:
             "nan-epsilon", "negative-epsilon", "nan-lr-range",
             "duplicate-section", "duplicate-option", "missing-section-header", "not-utf8",
             "zero-smoothing-h", "zero-fd-dt", "unfillable-window", "one-tail-checkpoint",
-            "zero-jobs", "negative-jobs", "one-component"])
+            "zero-jobs", "negative-jobs", "one-component", "loss-stop-nan", "loss-stop-inf"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, old, new, extra):
         bad = tmp_path / "exp.ini"
         # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.

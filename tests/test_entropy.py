@@ -121,15 +121,15 @@ class TestSlidingWindowEntropy:
 
     def test_exactly_one_window_at_boundary(self, toy_up):
         """A run exactly one window long logs one entropy, at its final iteration."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=100, seed=6)
-        log = st.run_seeded(toy_up, cfg, entropy=st.EntropyConfig(k=5, window=100))
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=100, seed=6, k=5, window=100)
+        log = st.run_seeded(toy_up, cfg)
         assert log.entropy_iters.tolist() == [100]
         assert log.entropies.shape == (1,)
 
     def test_too_few_snapshots(self, toy_up):
         """A run shorter than the window never fills it and logs no entropy."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=19, seed=6)
-        log = st.run_seeded(toy_up, cfg, entropy=st.EntropyConfig(k=2, window=20))
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=19, seed=6, k=2, window=20)
+        log = st.run_seeded(toy_up, cfg)
         assert log.iters[-1] == 19
         assert log.entropy_iters.size == 0 and log.entropies.size == 0
 
@@ -150,8 +150,8 @@ class TestSlidingWindowEntropy:
     def test_converging_trajectory_entropy_decreases(self, toy_op):
         """Once the loss is deep in the basin, successive window entropies fall."""
         cfg = st.SgdConfig(learning_rate=4.8e-3, total_iters=50_000, seed=3,
-                           loss_stop_threshold=1e-16)
-        log = st.run_seeded(toy_op, cfg, entropy=st.EntropyConfig(k=50, window=1000))
+                           loss_stop_threshold=1e-16, k=50, window=1000)
+        log = st.run_seeded(toy_op, cfg)
         anchors, values = log.entropy_iters, log.entropies
         assert values.size >= 5
         assert np.all(np.isfinite(values[-5:]))
@@ -174,10 +174,12 @@ class TestSlidingWindowEntropy:
 
 
 class TestEntropyConfig:
+    """The entropy settings of a chain: `k` and `window` of its SgdConfig."""
+
     def test_k_must_be_below_window(self):
         with pytest.raises(InvalidConfig):
-            st.EntropyConfig(k=100, window=100)
+            st.SgdConfig(learning_rate=0.1, k=100, window=100)
 
     def test_defaults(self):
-        cfg = st.EntropyConfig()
+        cfg = st.SgdConfig(learning_rate=0.1)
         assert cfg.k == 50 and cfg.window == 1000

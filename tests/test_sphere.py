@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm.errors import BatchTooLarge, DimensionMismatch, ZeroVector
+from sgdtherm.errors import BatchTooLarge, DimensionMismatch, InvalidConfig, ZeroVector
 
 
 class TestProjectToSphere:
@@ -121,6 +121,8 @@ class TestCheckpointSchedule:
 
 
 class TestRunTrajectory:
+    """`run_seeded`: one chain, described by one SgdConfig."""
+
     def test_single_iteration_boundary(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=1, seed=0)
         log = st.run_seeded(toy_op, cfg)
@@ -128,9 +130,8 @@ class TestRunTrajectory:
         assert log.snapshots.shape == (1, 3)
 
     def test_unit_norm_at_every_checkpoint(self, toy_up):
-        cfg = st.SgdConfig(learning_rate=0.3, total_iters=3000, seed=1)
-        log = st.run_trajectory(toy_up, st.random_unit_vector(3, np.random.default_rng(4)),
-                                cfg, entropy=st.EntropyConfig(k=10, window=cfg.total_iters))
+        cfg = st.SgdConfig(learning_rate=0.3, total_iters=3000, seed=1, k=10, window=3000)
+        log = st.run_seeded(toy_up, cfg, init=st.random_unit_vector(3, np.random.default_rng(4)))
         assert log.snapshots.shape == (3000, 3)  # the ring holds every iterate
         norms = np.linalg.norm(log.snapshots, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
@@ -149,9 +150,8 @@ class TestRunTrajectory:
         np.testing.assert_array_equal(a.snrs, b.snrs)
 
     def test_zero_gradient_start_stays_constant(self, toy_op):
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0)
-        log = st.run_trajectory(toy_op, np.array([0.0, 0.0, 1.0]), cfg,
-                                entropy=st.EntropyConfig(k=10, window=cfg.total_iters))
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0, k=10, window=50)
+        log = st.run_seeded(toy_op, cfg, init=np.array([0.0, 0.0, 1.0]))
         assert log.snapshots.shape == (50, 3)
         assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
         assert np.all(log.losses == 0.0)
@@ -176,9 +176,8 @@ class TestRunTrajectory:
         assert abs(last.mean() - prev.mean()) < 0.10 * prev.mean()
 
     def test_snapshot_window_matches_entropy_config(self, toy_up):
-        ecfg = st.EntropyConfig(k=10, window=200)
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=1500, seed=8)
-        log = st.run_seeded(toy_up, cfg, entropy=ecfg)
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=1500, seed=8, k=10, window=200)
+        log = st.run_seeded(toy_up, cfg)
         assert log.snapshots.shape == (200, 3)
         assert log.final_iter == 1500  # the ring's last row is the final iterate
         # final checkpoint's entropy equals the estimate over the retained window
@@ -189,9 +188,8 @@ class TestRunTrajectory:
 
     def test_collapsed_window_logs_entropy_sentinel(self, toy_op):
         """A delta-like window (constant trajectory) logs -inf, not an exception."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=120, seed=0)
-        log = st.run_trajectory(toy_op, np.array([0.0, 0.0, 1.0]), cfg,
-                                entropy=st.EntropyConfig(k=10, window=50))
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=120, seed=0, k=10, window=50)
+        log = st.run_seeded(toy_op, cfg, init=np.array([0.0, 0.0, 1.0]))
         assert log.entropies.size > 0
         assert np.all(log.entropies == -np.inf)
 
@@ -199,3 +197,31 @@ class TestRunTrajectory:
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0, batch_size=5)
         with pytest.raises(BatchTooLarge):
             st.run_seeded(toy_op, cfg)
+
+    def test_init_of_wrong_length_rejected(self, toy_op):
+        cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0)
+        with pytest.raises(DimensionMismatch):
+            st.run_seeded(toy_op, cfg, init=np.array([0.0, 1.0]))
+
+    def test_non_unit_init_is_projected(self, toy_op):
+        """[0, 0, 2] is projected to the pole, where every toy_op component vanishes."""
+        cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0, k=10, window=50)
+        log = st.run_seeded(toy_op, cfg, init=np.array([0.0, 0.0, 2.0]))
+        assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
+        assert np.all(log.losses == 0.0)
+        # Scaling by 4 is exact, so a projected start 4u is bit for bit the projected u.
+        u = st.random_unit_vector(3, np.random.default_rng(5))
+        a, b = st.run_seeded(toy_op, cfg, init=u), st.run_seeded(toy_op, cfg, init=4.0 * u)
+        np.testing.assert_array_equal(a.snapshots, b.snapshots)
+        np.testing.assert_array_equal(a.losses, b.losses)
+
+
+class TestSgdConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
+        ("loss_stop_threshold", np.nan), ("loss_stop_threshold", np.inf),
+        ("loss_stop_threshold", -1.0), ("k", 0),
+    ])
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(InvalidConfig):
+            st.SgdConfig(**{"learning_rate": 0.1, field: value})
