@@ -169,8 +169,16 @@ class ExperimentConfig:
         if self.model_seed < 0:
             raise InvalidConfig("[model] model_seed must be >= 0")
         # The simulation's own checks, run here so that nothing is written
-        # before a bad config is rejected.
-        self.chain_config(0)
+        # before a bad config is rejected.  Each SgdConfig message starts
+        # with the field it rejects, which is named here by its INI key.
+        try:
+            self.chain_config(0)
+        except InvalidConfig as exc:
+            name, _, rest = str(exc).partition(" ")
+            section = next((sec for sec, names in INI_SECTIONS.items() if name in names), None)
+            if section is None:
+                raise
+            raise InvalidConfig(f"[{section}] {INI_KEYS.get(name, name)} {rest}") from exc
         size = len(self.ensemble())
         if self.batch_size > size:
             raise InvalidConfig(f"[sgd] batch_size {self.batch_size} exceeds the ensemble size {size}")
@@ -277,14 +285,16 @@ def series_filename(index: int, lr: float) -> str:
     return f"series_{index:02d}_lr_{lr:.6g}.csv"
 
 
-def _run_one(cfg: ExperimentConfig, index: int):
-    """Simulate one learning rate; returns (log, estimate-or-None)."""
-    log = run_seeded(cfg.ensemble(), cfg.chain_config(index))
-    try:
-        est = extract_stationary(log, tail_fraction=cfg.tail_fraction)
-    except TooFewSamples:
-        est = None
-    return log, est
+def _run_chains(cfg: ExperimentConfig, indices: range):
+    """Simulate the grid points `indices` in one lockstep engine call; (log, estimate-or-None) each."""
+    results = []
+    for log in run_seeded(cfg.ensemble(), [cfg.chain_config(i) for i in indices]):
+        try:
+            est = extract_stationary(log, tail_fraction=cfg.tail_fraction)
+        except TooFewSamples:
+            est = None
+        results.append((log, est))
+    return results
 
 
 def _cell(value) -> str:
@@ -356,20 +366,25 @@ def write_summary(path: Path, rows: list[tuple[float, StationaryEstimate | None]
 def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
     """Run one trajectory per learning rate, then serialize the experiment.
 
-    Every chain finishes before the output directory is created, so a chain
-    that raises leaves no directory behind.
+    `jobs=1` runs every chain in one lockstep engine call.  `jobs=N` splits
+    the grid into N contiguous groups (never more than there are learning
+    rates) and runs one engine call per group in a process pool, which is
+    shut down before this returns.  A chain's output does not depend on its
+    group.  Every chain finishes before the output directory is created, so
+    a chain that raises leaves no directory behind.
     """
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
-    indices = list(range(len(cfg.lr_grid)))
+    n = len(cfg.lr_grid)
     # A fork-based pool starts all of its workers up front, so ask for no
     # more than there are learning rates to run.
-    workers = min(jobs, len(indices))
+    workers = min(jobs, n)
     if workers > 1:
+        groups = [range(g * n // workers, (g + 1) * n // workers) for g in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [cfg] * len(indices), indices))
+            results = [r for group in pool.map(_run_chains, [cfg] * workers, groups) for r in group]
     else:
-        results = [_run_one(cfg, i) for i in indices]
+        results = _run_chains(cfg, range(n))
 
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,10 +4,11 @@ Hyperplane ensembles are scale-invariant and live on the unit sphere:
 component i is half the squared distance to a hyperplane through the origin,
 normalized by ||w||^2.  In 3D each zero set is a great circle, as in the toy
 ensembles `make_toy_op`, `make_toy_up` and `make_circle_pair`.  They are the
-only ensembles `sphere.run_seeded` simulates.  Whether every per-example
-loss can vanish simultaneously distinguishes the overparameterized (OP)
-regime from the underparameterized (UP) one: OP holds exactly when the
-normals do not span the full space.
+only ensembles `sphere.run_seeded` simulates; their `full_loss` and
+`batch_grad` take one weight vector or a stack of them, one per chain.
+Whether every per-example loss can vanish simultaneously distinguishes the
+overparameterized (OP) regime from the underparameterized (UP) one: OP holds
+exactly when the normals do not span the full space.
 
 The quadratic ensemble (per-component Hessians around a shared optimum) is
 an oracle model only: it provides the component gradients behind the
@@ -58,12 +59,13 @@ class HyperplaneEnsemble:
         rank = np.linalg.matrix_rank(self.normals)
         return "OP" if rank < self.dim else "UP"
 
-    def full_loss(self, w: np.ndarray) -> float:
-        a = self.normals @ w
-        sq = w @ w
-        if sq < 1e-300:
+    def full_loss(self, w: np.ndarray):
+        """Full loss at w, or one loss per row of stacked (L, D) weights."""
+        a = np.matvec(self.normals, w)
+        sq = np.vecdot(w, w)
+        if np.any(sq < 1e-300):
             raise ZeroVector("loss undefined at the origin")
-        return float((a @ a) / (2.0 * sq * a.size))
+        return np.vecdot(a, a) / (2.0 * sq * len(self))
 
     def component_grads(self, w: np.ndarray) -> np.ndarray:
         """(M, D) gradients at a unit vector w."""
@@ -71,15 +73,17 @@ class HyperplaneEnsemble:
         return a[:, None] * self.normals - (a * a)[:, None] * w[None, :]
 
     def batch_grad(self, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Mean gradient over the indexed components (single-index fast path)."""
-        if len(indices) == 1:
-            n = self.normals[indices[0]]
-            a = n @ w
-            return a * n - (a * a) * w
+        """Mean gradient over the indexed components at w.
+
+        Stacked: row i of (L, batch) indices at row i of (L, D) weights.
+        `np.matvec`, `np.vecmat` and `np.vecdot` run each row through the
+        same BLAS gemv and dot kernels as a single chain's `@`, so a row's
+        result does not depend on the rows beside it.
+        """
         sub = self.normals[indices]
-        a = sub @ w
-        inv = 1.0 / a.size
-        return inv * (a @ sub) - (inv * (a @ a)) * w
+        a = np.matvec(sub, w)
+        inv = 1.0 / a.shape[-1]
+        return inv * np.vecmat(a, sub) - (inv * np.vecdot(a, a))[..., None] * w
 
 
 def make_toy_op() -> HyperplaneEnsemble:

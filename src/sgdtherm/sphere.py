@@ -1,4 +1,4 @@
-"""Projected SGD on the unit sphere with log-spaced checkpoint logging.
+"""Projected SGD on the unit sphere, many chains in lockstep, with log-spaced checkpoint logging.
 
 A trajectory is a sequence of weight vectors w_t with ||w_t|| = 1, produced
 by w <- normalize(w - lr * g) where g is the mean gradient of a uniformly
@@ -6,12 +6,16 @@ sampled batch of loss components; this projected step is the only update
 rule.  Metrics (full loss, gradient norms, SNR, and a trailing-window
 entropy estimate) are logged at iterations spaced uniformly in log scale,
 plus iteration 1 and the final iteration.
+
+`run_seeded` advances a set of chains that share every setting but the
+learning rate and the seed as one (L, D) array.  Each row gets the same
+BLAS kernels on the same shapes as a chain run alone, so a chain's log does
+not depend on which chains run beside it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +33,10 @@ from .gradients import gradient_stats
 # Below this norm a vector is treated as numerically collapsed.
 _NORM_FLOOR = 1e-300
 
+# Steps of batch indices each chain draws at once.  For 12 chains with
+# batch 8 of M = 30 components, a block's keys and indices take about 0.25 MB.
+_BLOCK_STEPS = 64
+
 
 def project_to_sphere(v: np.ndarray) -> np.ndarray:
     """Return v / ||v||.  Idempotent on unit vectors.
@@ -39,7 +47,7 @@ def project_to_sphere(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 2:
         raise DimensionMismatch(f"expected a vector of dimension >= 2, got shape {v.shape}")
-    norm = np.sqrt(v @ v)  # same expression as the simulation loop, bit for bit
+    norm = np.sqrt(v @ v)  # the same dot kernel as the simulation step, bit for bit
     if norm < _NORM_FLOOR:
         raise ZeroVector("cannot project a (numerically) zero vector onto the sphere")
     return v / norm
@@ -50,24 +58,27 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return project_to_sphere(rng.standard_normal(dim))
 
 
-def sample_batch(ensemble_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `batch_size` distinct indices uniformly, without replacement.
+def sample_batch(ensemble_size: int, batch_size: int, rng: np.random.Generator,
+                 steps: int) -> np.ndarray:
+    """(steps, batch_size) indices: row j is step j's batch of distinct, uniform indices.
 
-    Successive calls are independent (no epoch structure); the result is a
-    deterministic function of the generator state.  Implementation: the
-    batch is the argpartition of i.i.d. uniform keys, with single-index and
-    full-ensemble fast paths.
+    Successive rows are independent (no epoch structure); the block is a
+    deterministic function of the generator state, and a block of n steps
+    consumes the stream exactly as n blocks of one step do.  A single index
+    is one `integers` draw per step; a larger batch is the argpartition of
+    i.i.d. uniform keys, one row of keys per step; the full ensemble draws
+    nothing.
     """
     if batch_size > ensemble_size:
         raise BatchTooLarge(f"batch_size {batch_size} > ensemble size {ensemble_size}")
     if batch_size < 1:
         raise InvalidConfig("batch_size must be >= 1")
     if batch_size == ensemble_size:
-        return np.arange(ensemble_size)
+        return np.broadcast_to(np.arange(ensemble_size), (steps, ensemble_size))
     if batch_size == 1:
-        return np.array([int(rng.integers(ensemble_size))])
-    keys = rng.random(ensemble_size)
-    return np.argpartition(keys, batch_size)[:batch_size]
+        return rng.integers(ensemble_size, size=(steps, 1))
+    keys = rng.random((steps, ensemble_size))
+    return np.argpartition(keys, batch_size, axis=1)[:, :batch_size]
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,8 @@ class SgdConfig:
     window: int = 1000
 
     def __post_init__(self):
+        # Each message starts with the field's name: ExperimentConfig turns
+        # it into the `[section] key` of the INI file.
         if not 0 < self.learning_rate < np.inf:
             raise InvalidConfig("learning_rate must be finite and positive")
         if self.batch_size < 1:
@@ -154,91 +167,20 @@ class TrajectoryLog:
         return float(self.losses[-1])
 
 
-def run_seeded(ensemble, cfg: SgdConfig, init: np.ndarray | None = None) -> TrajectoryLog:
-    """Run projected SGD on a hyperplane ensemble; the whole run is a pure function of its inputs.
+def _ring_window(ring_row: np.ndarray, t: int) -> np.ndarray:
+    """A copy of the iterates a ring row holds after step t, oldest first.
 
-    Without `init`, a uniform-sphere start is drawn from `cfg.seed` and batch
-    sampling continues on the same stream.  A given `init` is projected, and
-    batches come from a fresh generator seeded with `cfg.seed`.  Every step is
-    w <- (w - lr * g) / ||w - lr * g||; a step whose result has (numerically)
-    zero norm raises ZeroVector.
-
-    The trailing `cfg.window` weights are kept in a ring buffer; at every
-    checkpoint with a full buffer the k-NN entropy of the buffer is logged,
-    anchored to the checkpoint iteration.  This ring is the only entropy
-    window; its contents at the final iteration are returned as `snapshots`.
-    Stops early once the full-ensemble loss falls below
-    `cfg.loss_stop_threshold` (when nonzero).
+    Step t sits in slot (t - 1) % window, so the oldest held step is in slot
+    t % window once the ring has filled.
     """
-    rng = np.random.default_rng(cfg.seed)
-    w = random_unit_vector(ensemble.dim, rng) if init is None else np.asarray(init, dtype=float)
-    if w.shape != (ensemble.dim,):
-        raise DimensionMismatch(
-            f"init has shape {w.shape}, ensemble dimension is {ensemble.dim}"
-        )
-    if cfg.batch_size > len(ensemble):
-        raise BatchTooLarge(
-            f"batch_size {cfg.batch_size} > ensemble size {len(ensemble)}"
-        )
-    w = project_to_sphere(w)
+    return np.roll(ring_row[:t], -t, axis=0)
 
-    schedule = checkpoint_schedule(cfg.total_iters, cfg.checkpoints_per_decade).tolist()
-    n_schedule = len(schedule)
-    next_cp = 0
 
-    ring: deque[np.ndarray] = deque(maxlen=cfg.window)
-
-    iters, losses, g_norms, s_norms, snrs = [], [], [], [], []
-    ent_iters, ent_vals = [], []
-    stopped = False
-
-    check_loss = cfg.loss_stop_threshold > 0
-    m = len(ensemble)
-    lr = cfg.learning_rate
-
-    def log_checkpoint(t: int) -> None:
-        stats = gradient_stats(ensemble, w)
-        loss = ensemble.full_loss(w)
-        if not (np.isfinite(loss) and np.isfinite(stats.full_grad_norm)):
-            raise NonFinite(f"non-finite loss or gradient at iteration {t}")
-        iters.append(t)
-        losses.append(loss)
-        g_norms.append(stats.full_grad_norm)
-        s_norms.append(stats.mean_stoch_norm)
-        snrs.append(stats.snr_or_nan)
-        if len(ring) == cfg.window:
-            try:
-                s = knn_entropy(np.asarray(ring), cfg.k)
-            except NonPositiveEdgeLength:
-                s = -np.inf  # collapsed (delta-like) window
-            ent_iters.append(t)
-            ent_vals.append(s)
-
-    batch_grad = ensemble.batch_grad
-    full_loss = ensemble.full_loss
-    batch_size = cfg.batch_size
-    ring_append = ring.append
-
-    for t in range(1, cfg.total_iters + 1):
-        idx = sample_batch(m, batch_size, rng)
-        g = batch_grad(idx, w)
-        v = w - lr * g
-        nrm = np.sqrt(v @ v)
-        if nrm < _NORM_FLOOR:
-            raise ZeroVector(f"weights collapsed to zero at iteration {t}")
-        w = v / nrm
-        ring_append(w)  # no copy: w is a fresh array each step and is never written in place
-
-        at_checkpoint = next_cp < n_schedule and t == schedule[next_cp]
-        if at_checkpoint:
-            next_cp += 1
-        stop_now = check_loss and full_loss(w) < cfg.loss_stop_threshold
-        if at_checkpoint or stop_now:
-            log_checkpoint(t)
-        if stop_now:
-            stopped = True
-            break
-
+def _trajectory_log(cfg: SgdConfig, points: list[tuple], entropies: list[tuple],
+                    snapshots: np.ndarray, stopped: bool) -> TrajectoryLog:
+    """One chain's log from its checkpoint rows (t, loss, |g|, mean |g_i|, snr) and (t, entropy) pairs."""
+    iters, losses, g_norms, s_norms, snrs = zip(*points)
+    ent_iters, ent_vals = zip(*entropies) if entropies else ((), ())
     return TrajectoryLog(
         iters=np.asarray(iters, dtype=np.int64),
         losses=np.asarray(losses, dtype=float),
@@ -247,7 +189,108 @@ def run_seeded(ensemble, cfg: SgdConfig, init: np.ndarray | None = None) -> Traj
         snrs=np.asarray(snrs, dtype=float),
         entropy_iters=np.asarray(ent_iters, dtype=np.int64),
         entropies=np.asarray(ent_vals, dtype=float),
-        snapshots=np.asarray(ring),
+        snapshots=snapshots,
         stopped_early=stopped,
         config=cfg,
     )
+
+
+def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
+    """Run projected SGD chains on a hyperplane ensemble in lockstep; one log per config, in order.
+
+    The chains may differ only in `learning_rate` and `seed` (anything else
+    raises InvalidConfig), and each one's log is bit for bit what it is when
+    the chain runs alone.  Without an init, a chain's uniform-sphere start is
+    drawn from its seed and batch sampling continues on the same stream; a
+    given init is projected, and batches come from a fresh generator seeded
+    with the seed.  Each chain draws its batches `_BLOCK_STEPS` steps at a
+    time.
+
+    The active chains step as one (L, D) array, w <- (w - lr * g) / ||w - lr * g||
+    row by row; a result of (numerically) zero norm raises ZeroVector.  A
+    chain whose full-ensemble loss falls below `loss_stop_threshold` (when
+    nonzero) stops and leaves the active rows.  The trailing `window` weights
+    of the chains sit in one (L, window, D) ring buffer, the only entropy
+    window: at every checkpoint with a full ring, a chain's window is put in
+    chronological order and its k-NN entropy logged at that iteration, and
+    the window at the final iteration is returned as `snapshots`.
+    """
+    cfgs = list(cfgs)
+    inits = [None] * len(cfgs) if inits is None else list(inits)
+    if len(inits) != len(cfgs):
+        raise DimensionMismatch(f"{len(inits)} inits for {len(cfgs)} chains")
+    if len({replace(c, learning_rate=1.0, seed=0) for c in cfgs}) > 1:
+        raise InvalidConfig("chains run together may differ only in learning_rate and seed")
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    m, dim = len(ensemble), ensemble.dim
+
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    w = np.empty((len(cfgs), dim))
+    for i, (rng, init) in enumerate(zip(rngs, inits)):
+        start = random_unit_vector(dim, rng) if init is None else np.asarray(init, dtype=float)
+        if start.shape != (dim,):
+            raise DimensionMismatch(f"init has shape {start.shape}, ensemble dimension is {dim}")
+        w[i] = project_to_sphere(start)
+
+    schedule = checkpoint_schedule(cfg.total_iters, cfg.checkpoints_per_decade).tolist()
+    next_cp = 0
+    threshold = cfg.loss_stop_threshold
+    rows = list(range(len(cfgs)))  # the chain of each active row
+    lr = np.array([[c.learning_rate] for c in cfgs])
+    ring = np.empty((len(cfgs), cfg.window, dim))
+    points: list[list[tuple]] = [[] for _ in cfgs]
+    entropies: list[list[tuple]] = [[] for _ in cfgs]
+    logs: list[TrajectoryLog | None] = [None] * len(cfgs)
+
+    batch_grad, full_loss = ensemble.batch_grad, ensemble.full_loss
+    t = 0
+    while rows and t < cfg.total_iters:
+        steps = min(_BLOCK_STEPS, cfg.total_iters - t)
+        batches = np.stack([sample_batch(m, cfg.batch_size, rngs[c], steps) for c in rows])
+        for j in range(steps):
+            t += 1
+            v = w - lr * batch_grad(batches[:, j], w)
+            nrm = np.sqrt(np.vecdot(v, v))
+            if np.any(nrm < _NORM_FLOOR):
+                raise ZeroVector(f"weights collapsed to zero at iteration {t}")
+            w = v / nrm[:, None]
+            ring[:, (t - 1) % cfg.window] = w
+
+            at_checkpoint = t == schedule[next_cp]
+            if at_checkpoint:
+                next_cp += 1
+            loss = full_loss(w) if threshold > 0 else None
+            stop = None if loss is None else loss < threshold
+            stopping = stop is not None and stop.any()
+            if not (at_checkpoint or stopping):
+                continue
+            if loss is None:
+                loss = full_loss(w)
+            for r in range(len(rows)) if at_checkpoint else np.flatnonzero(stop):
+                stats = gradient_stats(ensemble, w[r])
+                if not (np.isfinite(loss[r]) and np.isfinite(stats.full_grad_norm)):
+                    raise NonFinite(f"non-finite loss or gradient at iteration {t}")
+                points[rows[r]].append(
+                    (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
+                if t >= cfg.window:
+                    try:
+                        s = knn_entropy(_ring_window(ring[r], t), cfg.k)
+                    except NonPositiveEdgeLength:
+                        s = -np.inf  # collapsed (delta-like) window
+                    entropies[rows[r]].append((t, s))
+            if stopping:
+                for r in np.flatnonzero(stop):
+                    c = rows[r]
+                    logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c],
+                                              _ring_window(ring[r], t), stopped=True)
+                keep = ~stop
+                w, lr, ring, batches = w[keep], lr[keep], ring[keep], batches[keep]
+                rows = [c for c, k in zip(rows, keep) if k]
+                if not rows:
+                    break
+    for r, c in enumerate(rows):
+        logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c], _ring_window(ring[r], t),
+                                  stopped=False)
+    return logs

@@ -8,12 +8,28 @@ force), so that a test can compare it with the package's own computation.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from sgdtherm import project_to_sphere, two_circle_snr_sq
-from sgdtherm.errors import DimensionMismatch, DomainViolation, ZeroVector
+from sgdtherm import (
+    TrajectoryLog,
+    checkpoint_schedule,
+    gradient_stats,
+    knn_entropy,
+    project_to_sphere,
+    random_unit_vector,
+    two_circle_snr_sq,
+)
+from sgdtherm.errors import (
+    BatchTooLarge,
+    DimensionMismatch,
+    DomainViolation,
+    NonFinite,
+    NonPositiveEdgeLength,
+    ZeroVector,
+)
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -170,3 +186,120 @@ def knn_edge_length_brute_force(samples, k: int) -> float:
         dist[i] = np.inf
         total += np.sort(dist)[:k].sum()
     return total
+
+
+def sample_batch_one_step(ensemble_size: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """One step's batch, drawn on its own: an `integers` draw, argpartition keys, or every index."""
+    if batch_size == ensemble_size:
+        return np.arange(ensemble_size)
+    if batch_size == 1:
+        return np.array([int(rng.integers(ensemble_size))])
+    keys = rng.random(ensemble_size)
+    return np.argpartition(keys, batch_size)[:batch_size]
+
+
+def batch_grad_one_chain(normals: np.ndarray, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mean hyperplane gradient over the indexed components at one w, with `@` on 1-D operands."""
+    if len(indices) == 1:
+        n = normals[indices[0]]
+        a = n @ w
+        return a * n - (a * a) * w
+    sub = normals[indices]
+    a = sub @ w
+    inv = 1.0 / a.size
+    return inv * (a @ sub) - (inv * (a @ a)) * w
+
+
+def full_loss_one_chain(normals: np.ndarray, w: np.ndarray) -> float:
+    """Full hyperplane loss at one w, with `@` on 1-D operands."""
+    a = normals @ w
+    sq = w @ w
+    if sq < 1e-300:
+        raise ZeroVector("loss undefined at the origin")
+    return float((a @ a) / (2.0 * sq * a.size))
+
+
+def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> TrajectoryLog:
+    """One chain stepped on its own, one draw and one 1-D update per step.
+
+    The reference for `run_seeded`, which must give every chain this log
+    field for field: the same start, batches, steps, checkpoints, entropy
+    windows, early stop and snapshots.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    w = random_unit_vector(ensemble.dim, rng) if init is None else np.asarray(init, dtype=float)
+    if w.shape != (ensemble.dim,):
+        raise DimensionMismatch(
+            f"init has shape {w.shape}, ensemble dimension is {ensemble.dim}"
+        )
+    if cfg.batch_size > len(ensemble):
+        raise BatchTooLarge(
+            f"batch_size {cfg.batch_size} > ensemble size {len(ensemble)}"
+        )
+    w = project_to_sphere(w)
+
+    schedule = checkpoint_schedule(cfg.total_iters, cfg.checkpoints_per_decade).tolist()
+    n_schedule = len(schedule)
+    next_cp = 0
+
+    ring: deque[np.ndarray] = deque(maxlen=cfg.window)
+
+    iters, losses, g_norms, s_norms, snrs = [], [], [], [], []
+    ent_iters, ent_vals = [], []
+    stopped = False
+
+    check_loss = cfg.loss_stop_threshold > 0
+    m = len(ensemble)
+    lr = cfg.learning_rate
+    normals = ensemble.normals
+
+    def log_checkpoint(t: int) -> None:
+        stats = gradient_stats(ensemble, w)
+        loss = full_loss_one_chain(normals, w)
+        if not (np.isfinite(loss) and np.isfinite(stats.full_grad_norm)):
+            raise NonFinite(f"non-finite loss or gradient at iteration {t}")
+        iters.append(t)
+        losses.append(loss)
+        g_norms.append(stats.full_grad_norm)
+        s_norms.append(stats.mean_stoch_norm)
+        snrs.append(stats.snr_or_nan)
+        if len(ring) == cfg.window:
+            try:
+                s = knn_entropy(np.asarray(ring), cfg.k)
+            except NonPositiveEdgeLength:
+                s = -np.inf  # collapsed (delta-like) window
+            ent_iters.append(t)
+            ent_vals.append(s)
+
+    for t in range(1, cfg.total_iters + 1):
+        idx = sample_batch_one_step(m, cfg.batch_size, rng)
+        g = batch_grad_one_chain(normals, idx, w)
+        v = w - lr * g
+        nrm = np.sqrt(v @ v)
+        if nrm < 1e-300:
+            raise ZeroVector(f"weights collapsed to zero at iteration {t}")
+        w = v / nrm
+        ring.append(w)  # no copy: w is a fresh array each step and is never written in place
+
+        at_checkpoint = next_cp < n_schedule and t == schedule[next_cp]
+        if at_checkpoint:
+            next_cp += 1
+        stop_now = check_loss and full_loss_one_chain(normals, w) < cfg.loss_stop_threshold
+        if at_checkpoint or stop_now:
+            log_checkpoint(t)
+        if stop_now:
+            stopped = True
+            break
+
+    return TrajectoryLog(
+        iters=np.asarray(iters, dtype=np.int64),
+        losses=np.asarray(losses, dtype=float),
+        full_grad_norms=np.asarray(g_norms, dtype=float),
+        stoch_grad_norms=np.asarray(s_norms, dtype=float),
+        snrs=np.asarray(snrs, dtype=float),
+        entropy_iters=np.asarray(ent_iters, dtype=np.int64),
+        entropies=np.asarray(ent_vals, dtype=float),
+        snapshots=np.asarray(ring),
+        stopped_early=stopped,
+        config=cfg,
+    )

@@ -1,6 +1,8 @@
 import math
+import multiprocessing
 import re
 import shutil
+import threading
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -204,7 +206,7 @@ class TestConfigParsing:
         base = dict(model="toy_up", lr_grid=(0.05,), total_iters=total_iters,
                     checkpoints_per_decade=per_decade, tail_fraction=tail_fraction, k=5)
         chain = ExperimentConfig(window=largest, **base).chain_config(0)
-        logs = {w: st.run_seeded(st.make_toy_up(), replace(chain, window=w))
+        logs = {w: st.run_seeded(st.make_toy_up(), [replace(chain, window=w)])[0]
                 for w in (largest, largest + 1)}
         st.extract_stationary(logs[largest], tail_fraction=tail_fraction)
         with pytest.raises(TooFewSamples):
@@ -305,10 +307,25 @@ class TestRunGrid:
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
+        threads = threading.active_count()
         out1 = run_grid(cfg, out_dir=tmp_path / "serial", jobs=1)
         out2 = run_grid(cfg, out_dir=tmp_path / "parallel", jobs=2)
         for f1 in sorted(out1.glob("*.csv")):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
+
+        # A ragged grid: with a loss stop the chains end at different
+        # iterations, and 5 lrs split unevenly over 2 and 3 groups.
+        ragged = replace(cfg, lr_grid=(4.8e-3, 1.1e-2, 2.3e-2, 0.1, 1.0), loss_stop_threshold=1e-16)
+        outs = {jobs: run_grid(ragged, out_dir=tmp_path / f"ragged{jobs}", jobs=jobs)
+                for jobs in (1, 2, 3)}
+        finals = {int(read_series(f)["iter"][-1]) for f in outs[1].glob("series_*.csv")}
+        assert len(finals) >= 3
+        for f1 in sorted(outs[1].glob("*.csv")):
+            for jobs in (2, 3):
+                assert f1.read_bytes() == (outs[jobs] / f1.name).read_bytes()
+        # Every pool is shut down before run_grid returns.
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("n_lrs, jobs, workers",
                              [(3, 2, [2]), (3, 3, [3]), (3, 64, [3]), (1, 64, [])])
@@ -344,10 +361,10 @@ class TestRunGrid:
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
         real = cli.run_seeded
 
-        def fail_on_second_lr(ensemble, sgd):
-            if sgd.learning_rate == cfg.lr_grid[1]:
+        def fail_on_second_lr(ensemble, sgds):
+            if any(sgd.learning_rate == cfg.lr_grid[1] for sgd in sgds):
                 raise NonFinite("injected")
-            return real(ensemble, sgd)
+            return real(ensemble, sgds)
 
         monkeypatch.setattr(cli, "run_seeded", fail_on_second_lr)
         with pytest.raises(NonFinite):
@@ -468,6 +485,15 @@ class TestVerifyOracles:
         assert not checks[0].passed
 
 
+# Errors the chain config raises, named by the INI section and key they come from.
+SECTION_ERRORS = {
+    "loss_stop_threshold = nan": "[sgd] loss_stop_threshold must be finite and >= 0",
+    "loss_stop_threshold = inf": "[sgd] loss_stop_threshold must be finite and >= 0",
+    "k = 0": "[entropy] k must be >= 1",
+    "window = 20": "[entropy] window must exceed k",
+}
+
+
 class TestMainEntryPoint:
     def test_run_and_analyze_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, UP_SMALL)
@@ -535,6 +561,8 @@ class TestMainEntryPoint:
             assert not out.exists()
             if "components = 1" in new:
                 assert "[model]" in err
+            if new in SECTION_ERRORS:
+                assert SECTION_ERRORS[new] in err
 
     @pytest.mark.parametrize("flags", [
         ["--epsilon", "nan"], ["--epsilon", "-1"], ["--epsilon", "inf"],

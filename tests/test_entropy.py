@@ -122,14 +122,14 @@ class TestSlidingWindowEntropy:
     def test_exactly_one_window_at_boundary(self, toy_up):
         """A run exactly one window long logs one entropy, at its final iteration."""
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=100, seed=6, k=5, window=100)
-        log = st.run_seeded(toy_up, cfg)
+        log = st.run_seeded(toy_up, [cfg])[0]
         assert log.entropy_iters.tolist() == [100]
         assert log.entropies.shape == (1,)
 
     def test_too_few_snapshots(self, toy_up):
         """A run shorter than the window never fills it and logs no entropy."""
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=19, seed=6, k=2, window=20)
-        log = st.run_seeded(toy_up, cfg)
+        log = st.run_seeded(toy_up, [cfg])[0]
         assert log.iters[-1] == 19
         assert log.entropy_iters.size == 0 and log.entropies.size == 0
 
@@ -151,7 +151,7 @@ class TestSlidingWindowEntropy:
         """Once the loss is deep in the basin, successive window entropies fall."""
         cfg = st.SgdConfig(learning_rate=4.8e-3, total_iters=50_000, seed=3,
                            loss_stop_threshold=1e-16, k=50, window=1000)
-        log = st.run_seeded(toy_op, cfg)
+        log = st.run_seeded(toy_op, [cfg])[0]
         anchors, values = log.entropy_iters, log.entropies
         assert values.size >= 5
         assert np.all(np.isfinite(values[-5:]))

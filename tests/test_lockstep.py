@@ -1,0 +1,117 @@
+"""The lockstep engine against the one-chain reference loop in `oracles.run_chain_reference`.
+
+Every chain that `run_seeded` advances beside others must log exactly what
+the reference logs for it alone: every TrajectoryLog field is compared with
+`array_equal`, whatever the batch size, early stops, starts, block size or
+company of the chain.
+"""
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+import oracles
+import sgdtherm as st
+from sgdtherm import sphere
+from sgdtherm.errors import DimensionMismatch, InvalidConfig
+
+
+def assert_logs_equal(got, want):
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a == b, f.name
+
+
+def assert_matches_reference(ensemble, cfgs, inits=None):
+    logs = st.run_seeded(ensemble, cfgs, inits)
+    assert len(logs) == len(cfgs)
+    for i, (log, cfg) in enumerate(zip(logs, cfgs)):
+        init = None if inits is None else inits[i]
+        assert_logs_equal(log, oracles.run_chain_reference(ensemble, cfg, init))
+    return logs
+
+
+def chains(lrs, seed0=0, **shared):
+    return [st.SgdConfig(learning_rate=lr, seed=seed0 + i, **shared) for i, lr in enumerate(lrs)]
+
+
+UP_CHAINS = chains([2e-3, 2.2e-2, 0.22, 1.0], seed0=11, total_iters=1500, k=10, window=200)
+# lr 1.0 stops before its window of 200 fills, lr 0.1 after, lr 1e-3 never.
+OP_CHAINS = chains([1e-3, 0.1, 1.0], seed0=7, total_iters=2000, k=10, window=200,
+                   loss_stop_threshold=1e-16)
+
+
+class TestParityWithReference:
+    def test_toy_up_batch_one(self, toy_up):
+        assert_matches_reference(toy_up, UP_CHAINS)
+
+    def test_toy_op_loss_stop_before_and_after_the_window_fills(self, toy_op):
+        logs = assert_matches_reference(toy_op, OP_CHAINS)
+        stops = [log.final_iter if log.stopped_early else None for log in logs]
+        assert stops[0] is None
+        assert 200 < stops[1] < 2000
+        assert stops[2] < 200
+        assert logs[2].entropies.size == 0 and logs[2].snapshots.shape == (stops[2], 3)
+
+    def test_hyperplane_d10_batch_eight(self):
+        ens = st.random_hyperplane_ensemble(10, 30, seed=3)
+        lrs = np.geomspace(0.02, 20.0, 6).tolist()
+        assert_matches_reference(ens, chains(lrs, seed0=40, batch_size=8, total_iters=1200,
+                                             k=10, window=300))
+
+    def test_full_ensemble_batch(self):
+        ens = st.random_hyperplane_ensemble(4, 6, seed=2)
+        assert_matches_reference(ens, chains([0.05, 0.5, 5.0], seed0=3, batch_size=6,
+                                             total_iters=800, k=10, window=100))
+
+    def test_explicit_inits(self, toy_up):
+        rng = np.random.default_rng(21)
+        inits = [np.array([0.0, 0.0, 2.0]), st.random_unit_vector(3, rng), 3.0 * rng.standard_normal(3)]
+        assert_matches_reference(toy_up, UP_CHAINS[:3], inits)
+
+    @pytest.mark.parametrize("block", [1, 7, sphere._BLOCK_STEPS])
+    def test_block_size_does_not_change_a_chain(self, toy_op, monkeypatch, block):
+        monkeypatch.setattr(sphere, "_BLOCK_STEPS", block)
+        assert_matches_reference(toy_op, OP_CHAINS)
+
+    def test_each_chain_alone_equals_all_together(self, toy_op):
+        together = st.run_seeded(toy_op, OP_CHAINS)
+        for cfg, log in zip(OP_CHAINS, together):
+            assert_logs_equal(st.run_seeded(toy_op, [cfg])[0], log)
+
+
+class TestBlockSampling:
+    @pytest.mark.parametrize("m, batch", [(3, 1), (30, 8), (4, 2), (5, 5)])
+    def test_block_equals_one_step_draws(self, m, batch):
+        block = st.sample_batch(m, batch, np.random.default_rng(9), 50)
+        rng = np.random.default_rng(9)
+        assert block.shape == (50, batch)
+        for row in block:
+            np.testing.assert_array_equal(row, oracles.sample_batch_one_step(m, batch, rng))
+
+
+class TestChainSet:
+    def test_chains_must_share_all_but_lr_and_seed(self, toy_up):
+        with pytest.raises(InvalidConfig):
+            st.run_seeded(toy_up, [UP_CHAINS[0], replace(UP_CHAINS[1], total_iters=1000)])
+        with pytest.raises(InvalidConfig):
+            st.run_seeded(toy_up, [UP_CHAINS[0], replace(UP_CHAINS[1], window=300)])
+
+    def test_one_init_per_chain(self, toy_up):
+        with pytest.raises(DimensionMismatch):
+            st.run_seeded(toy_up, UP_CHAINS[:2], [None])
+
+    def test_no_chains(self, toy_up):
+        assert st.run_seeded(toy_up, []) == []
+
+    def test_stacked_loss_equals_one_chain_loss(self, toy_up):
+        ws = st.uniform_sphere_samples(3, 20, np.random.default_rng(1))
+        stacked = toy_up.full_loss(ws)
+        assert stacked.shape == (20,)
+        for w, loss in zip(ws, stacked):
+            assert loss == oracles.full_loss_one_chain(toy_up.normals, w) == toy_up.full_loss(w)

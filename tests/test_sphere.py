@@ -60,24 +60,24 @@ class TestSampleBatch:
     def test_exhaustive_batch(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            assert set(st.sample_batch(2, 2, rng)) == {0, 1}
+            assert set(st.sample_batch(2, 2, rng, 1)[0]) == {0, 1}
 
     def test_deterministic_given_seed(self):
         rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-        seq1 = [st.sample_batch(5, 2, rng1).tolist() for _ in range(20)]
-        seq2 = [st.sample_batch(5, 2, rng2).tolist() for _ in range(20)]
+        seq1 = [st.sample_batch(5, 2, rng1, 1)[0].tolist() for _ in range(20)]
+        seq2 = [st.sample_batch(5, 2, rng2, 1)[0].tolist() for _ in range(20)]
         assert seq1 == seq2
-        singles1 = [int(st.sample_batch(3, 1, np.random.default_rng(42))[0]) for _ in range(3)]
+        singles1 = [int(st.sample_batch(3, 1, np.random.default_rng(42), 1)[0, 0]) for _ in range(3)]
         assert len(set(singles1)) == 1  # same seed, same draw
 
     def test_batch_too_large(self):
         with pytest.raises(BatchTooLarge):
-            st.sample_batch(3, 4, np.random.default_rng(0))
+            st.sample_batch(3, 4, np.random.default_rng(0), 1)
 
     def test_indices_distinct(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            idx = st.sample_batch(10, 4, rng)
+            idx = st.sample_batch(10, 4, rng, 1)[0]
             assert len(set(idx.tolist())) == 4
 
     def test_uniform_frequencies(self):
@@ -86,7 +86,7 @@ class TestSampleBatch:
         n = 100_000
         counts = np.zeros(3)
         for _ in range(n):
-            counts[st.sample_batch(3, 1, rng)[0]] += 1
+            counts[st.sample_batch(3, 1, rng, 1)[0, 0]] += 1
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.all(np.abs(counts - n / 3) < 3 * sigma)
 
@@ -96,7 +96,7 @@ class TestSampleBatch:
         n = 30_000
         counts = {}
         for _ in range(n):
-            key = tuple(sorted(st.sample_batch(4, 2, rng).tolist()))
+            key = tuple(sorted(st.sample_batch(4, 2, rng, 1)[0].tolist()))
             counts[key] = counts.get(key, 0) + 1
         p = 1 / 6
         sigma = np.sqrt(n * p * (1 - p))
@@ -121,17 +121,18 @@ class TestCheckpointSchedule:
 
 
 class TestRunTrajectory:
-    """`run_seeded`: one chain, described by one SgdConfig."""
+    """`run_seeded` on one chain, described by one SgdConfig."""
 
     def test_single_iteration_boundary(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=1, seed=0)
-        log = st.run_seeded(toy_op, cfg)
+        log = st.run_seeded(toy_op, [cfg])[0]
         np.testing.assert_array_equal(log.iters, [1])
         assert log.snapshots.shape == (1, 3)
 
     def test_unit_norm_at_every_checkpoint(self, toy_up):
         cfg = st.SgdConfig(learning_rate=0.3, total_iters=3000, seed=1, k=10, window=3000)
-        log = st.run_seeded(toy_up, cfg, init=st.random_unit_vector(3, np.random.default_rng(4)))
+        init = st.random_unit_vector(3, np.random.default_rng(4))
+        log = st.run_seeded(toy_up, [cfg], inits=[init])[0]
         assert log.snapshots.shape == (3000, 3)  # the ring holds every iterate
         norms = np.linalg.norm(log.snapshots, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
@@ -143,15 +144,15 @@ class TestRunTrajectory:
 
     def test_deterministic_rerun(self, toy_up):
         cfg = st.SgdConfig(learning_rate=0.01, total_iters=2000, seed=33)
-        a = st.run_seeded(toy_up, cfg)
-        b = st.run_seeded(toy_up, cfg)
+        a = st.run_seeded(toy_up, [cfg])[0]
+        b = st.run_seeded(toy_up, [cfg])[0]
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.snapshots, b.snapshots)
         np.testing.assert_array_equal(a.snrs, b.snrs)
 
     def test_zero_gradient_start_stays_constant(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0, k=10, window=50)
-        log = st.run_seeded(toy_op, cfg, init=np.array([0.0, 0.0, 1.0]))
+        log = st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 0.0, 1.0])])[0]
         assert log.snapshots.shape == (50, 3)
         assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
         assert np.all(log.losses == 0.0)
@@ -169,7 +170,7 @@ class TestRunTrajectory:
         has left the preceding decade.
         """
         cfg = st.SgdConfig(learning_rate=2.4e-3, total_iters=500_000, seed=3)
-        log = st.run_seeded(toy_up, cfg)
+        log = st.run_seeded(toy_up, [cfg])[0]
         assert not log.stopped_early
         last = log.losses[log.iters >= log.final_iter / 10]
         prev = log.losses[(log.iters >= log.final_iter / 100) & (log.iters < log.final_iter / 10)]
@@ -177,7 +178,7 @@ class TestRunTrajectory:
 
     def test_snapshot_window_matches_entropy_config(self, toy_up):
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=1500, seed=8, k=10, window=200)
-        log = st.run_seeded(toy_up, cfg)
+        log = st.run_seeded(toy_up, [cfg])[0]
         assert log.snapshots.shape == (200, 3)
         assert log.final_iter == 1500  # the ring's last row is the final iterate
         # final checkpoint's entropy equals the estimate over the retained window
@@ -189,29 +190,29 @@ class TestRunTrajectory:
     def test_collapsed_window_logs_entropy_sentinel(self, toy_op):
         """A delta-like window (constant trajectory) logs -inf, not an exception."""
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=120, seed=0, k=10, window=50)
-        log = st.run_seeded(toy_op, cfg, init=np.array([0.0, 0.0, 1.0]))
+        log = st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 0.0, 1.0])])[0]
         assert log.entropies.size > 0
         assert np.all(log.entropies == -np.inf)
 
     def test_batch_larger_than_ensemble_rejected(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0, batch_size=5)
         with pytest.raises(BatchTooLarge):
-            st.run_seeded(toy_op, cfg)
+            st.run_seeded(toy_op, [cfg])
 
     def test_init_of_wrong_length_rejected(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0)
         with pytest.raises(DimensionMismatch):
-            st.run_seeded(toy_op, cfg, init=np.array([0.0, 1.0]))
+            st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 1.0])])
 
     def test_non_unit_init_is_projected(self, toy_op):
         """[0, 0, 2] is projected to the pole, where every toy_op component vanishes."""
         cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0, k=10, window=50)
-        log = st.run_seeded(toy_op, cfg, init=np.array([0.0, 0.0, 2.0]))
+        log = st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 0.0, 2.0])])[0]
         assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
         assert np.all(log.losses == 0.0)
         # Scaling by 4 is exact, so a projected start 4u is bit for bit the projected u.
         u = st.random_unit_vector(3, np.random.default_rng(5))
-        a, b = st.run_seeded(toy_op, cfg, init=u), st.run_seeded(toy_op, cfg, init=4.0 * u)
+        a, b = (st.run_seeded(toy_op, [cfg], inits=[x])[0] for x in (u, 4.0 * u))
         np.testing.assert_array_equal(a.snapshots, b.snapshots)
         np.testing.assert_array_equal(a.losses, b.losses)
 
