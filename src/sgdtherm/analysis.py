@@ -327,16 +327,7 @@ def uniform_sphere_baseline(
         raise TooFewSamples(f"need n_samples > k={k}")
     rng = np.random.default_rng(seed)
     samples = uniform_sphere_samples(ensemble.dim, n_samples, rng)
-    losses = full_losses(ensemble, samples)
-    return float(losses.mean()), knn_entropy(samples, k)
-
-
-def full_losses(ensemble, ws: np.ndarray) -> np.ndarray:
-    """Full hyperplane-ensemble loss at each row of ws, vectorized."""
-    ws = np.asarray(ws, dtype=float)
-    a = ws @ ensemble.normals.T
-    sq = np.einsum("ij,ij->i", ws, ws)
-    return (a * a).mean(axis=1) / (2.0 * sq)
+    return float(ensemble.full_loss(samples).mean()), knn_entropy(samples, k)
 
 
 def select_stationary_range(

@@ -2,13 +2,16 @@
 
 Subcommands
 -----------
-run             simulate a grid of learning rates, then write per-lr series
-                CSVs and a stationary summary CSV into the experiment directory
+run             simulate a grid of learning rates, sample the uniform-sphere
+                baseline, then write per-lr series CSVs, a stationary summary
+                CSV and baseline.csv into the experiment directory
 analyze         read an experiment directory, reduce it in memory to smoothed
                 curves, temperature intervals with a monotonicity verdict,
                 free-energy curves, finite-difference temperature series and
-                phase-diagram power laws for non-stabilized runs, then write them
-baseline        uniform-sphere loss/entropy reference values for the model
+                phase-diagram power laws for non-stabilized runs, then write them;
+                it samples nothing, and takes the baseline from baseline.csv
+baseline        uniform-sphere loss/entropy reference values for the model,
+                written as the same baseline.csv that `run` writes
 verify-oracles  closed-form identity checks; nonzero exit on failure
 
 The config file is INI-style with one section per subsystem; `INI_SECTIONS`
@@ -89,6 +92,8 @@ SUMMARY_COLUMNS = {
     "lr": "lr", "U": "loss_mean", "U_std": "loss_std",
     "S": "entropy_mean", "S_std": "entropy_std", "stabilized": "stabilized",
 }
+# baseline.csv: one (seed, mean loss, entropy) row per uniform-sphere cloud.
+BASELINE_COLUMNS = ("seed", "U", "S")
 _BOOL_COLUMNS = {"stabilized"}
 
 MODEL_KINDS = ("toy_op", "toy_up", "hyperplane")
@@ -366,12 +371,17 @@ def write_summary(path: Path, rows: list[tuple[float, StationaryEstimate | None]
 def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
     """Run one trajectory per learning rate, then serialize the experiment.
 
-    `jobs=1` runs every chain in one lockstep engine call.  `jobs=N` splits
-    the grid into N contiguous groups (never more than there are learning
-    rates) and runs one engine call per group in a process pool, which is
-    shut down before this returns.  A chain's output does not depend on its
-    group.  Every chain finishes before the output directory is created, so
-    a chain that raises leaves no directory behind.
+    `jobs=1` runs every chain in one lockstep engine call.  `jobs=N` deals
+    the grid out to N interleaved groups (every N-th learning rate; never
+    more groups than learning rates), so that the early-stopping chains of
+    one end of the grid do not all land in one worker.  It runs one engine
+    call per group in a process pool, which is shut down before this
+    returns, and puts the results back in grid order.  A chain's output does
+    not depend on its group.  After the chains, the uniform-sphere baseline
+    is sampled once, as `sgdtherm baseline` samples it from the stored
+    config, and written to baseline.csv for `analyze`.  Everything is
+    computed before the output directory is created, so a chain that raises
+    leaves no directory behind.
     """
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
@@ -380,11 +390,14 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
     # more than there are learning rates to run.
     workers = min(jobs, n)
     if workers > 1:
-        groups = [range(g * n // workers, (g + 1) * n // workers) for g in range(workers)]
+        groups = [range(g, n, workers) for g in range(workers)]
+        results = [None] * n
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for group in pool.map(_run_chains, [cfg] * workers, groups) for r in group]
+            for g, rows in enumerate(pool.map(_run_chains, [cfg] * workers, groups)):
+                results[g::workers] = rows
     else:
         results = _run_chains(cfg, range(n))
+    baseline_rows = _baseline_rows(cfg, cfg.ensemble())
 
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -395,6 +408,7 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
         write_series(out / series_filename(index, lr), log)
         summary_rows.append((lr, est))
     write_summary(out / "summary.csv", summary_rows)
+    _write_csv(out / "baseline.csv", BASELINE_COLUMNS, baseline_rows)
     return out
 
 
@@ -416,6 +430,23 @@ def _baseline_rows(cfg: ExperimentConfig, ensemble) -> list[tuple[int, float, fl
     return [(seed, *uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)) for seed in seeds]
 
 
+def read_baseline_entropies(exp: Path, cfg: ExperimentConfig) -> np.ndarray:
+    """The S column of `exp`/baseline.csv: one finite entropy per `cfg.baseline_seeds`.
+
+    Any defect is MissingData, naming the file and the command that writes it.
+    """
+    path = exp / "baseline.csv"
+    rewrite = f"; write it with `sgdtherm baseline --config {exp / 'config.ini'} --out {exp}`"
+    try:
+        ents = np.array(_read_csv(path, ["S"])["S"], dtype=float)
+    except MissingData as exc:
+        raise MissingData(f"{exc}{rewrite}") from exc
+    if ents.size != cfg.baseline_seeds or not np.all(np.isfinite(ents)):
+        raise MissingData(f"{path}: expected {cfg.baseline_seeds} finite S values "
+                          f"([analysis] baseline_seeds), got {ents.tolist()}{rewrite}")
+    return ents
+
+
 # The CSVs `analyze` owns in its output directory: each call writes those that
 # have rows and removes the others, so no table survives from an earlier call.
 ANALYSIS_FILES = ("smoothed.csv", "temperature.csv", "free_energy.csv", "fd_temperature.csv",
@@ -428,8 +459,9 @@ def reduce_experiment(cfg: ExperimentConfig, estimates: list[StationaryEstimate]
 
     `estimates` are the summary rows in grid order, `series` maps the grid
     index of every non-stabilized estimate to its series columns, and
-    `base_ents` holds the uniform-sphere baseline entropies.  `tables` maps
-    each of the `ANALYSIS_FILES` that has rows to its (header, rows).
+    `base_ents` holds the uniform-sphere baseline entropies (the S column of
+    baseline.csv).  `tables` maps each of the `ANALYSIS_FILES` that has rows
+    to its (header, rows).
     """
     usable = [e for e in estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
     base_s, base_s_std = float(base_ents.mean()), float(base_ents.std(ddof=1))
@@ -525,9 +557,12 @@ def analyze(exp_dir: str | Path, out_dir: str | Path | None = None,
             lr_range: tuple[float, float] | None = None, epsilon: float | None = None) -> dict:
     """Reduce an experiment directory to temperature/free-energy reports; returns the verdicts.
 
-    Reads config.ini, summary.csv and the series file of every non-stabilized
-    run before it creates the output directory.  There it writes report.txt
-    and each of the `ANALYSIS_FILES` that has rows, and removes the others.
+    Reads config.ini, summary.csv, baseline.csv (the entropies that `run`
+    sampled for the saturation test) and the series file of every
+    non-stabilized run before it creates the output directory; it samples
+    and simulates nothing.  The overrides do not enter the baseline.  In the
+    output directory it writes report.txt and each of the `ANALYSIS_FILES`
+    that has rows, and removes the others.
     """
     exp = Path(exp_dir)
     overrides = {"epsilon": epsilon, "lr_range": lr_range}
@@ -536,7 +571,7 @@ def analyze(exp_dir: str | Path, out_dir: str | Path | None = None,
     estimates = read_summary(exp / "summary.csv")
     series = {idx: read_series(exp / series_filename(idx, e.lr))
               for idx, e in enumerate(estimates) if not e.stabilized}
-    base_ents = np.array([s for _, _, s in _baseline_rows(cfg, cfg.ensemble())])
+    base_ents = read_baseline_entropies(exp, cfg)
     verdicts, tables, report_lines = reduce_experiment(cfg, estimates, series, base_ents)
 
     out = Path(out_dir) if out_dir is not None else exp
@@ -672,7 +707,7 @@ def _cmd_baseline(args) -> int:
     rows = _baseline_rows(cfg, cfg.ensemble())
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "baseline.csv", ["seed", "U", "S"], rows)
+    _write_csv(out / "baseline.csv", BASELINE_COLUMNS, rows)
     us = np.array([r[1] for r in rows])
     ss = np.array([r[2] for r in rows])
     print(f"uniform-sphere baseline over {len(rows)} seeds (n={cfg.window}, k={cfg.k}):")

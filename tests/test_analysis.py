@@ -301,13 +301,13 @@ class TestUniformSphereBaseline:
     def test_toy_op_loss_moment(self, toy_op):
         """E[(n.u)^2] = 1/D on the sphere, so the mean toy loss tends to 1/6."""
         samples = st.uniform_sphere_samples(3, 100_000, np.random.default_rng(5))
-        losses = st.analysis.full_losses(toy_op, samples)
+        losses = toy_op.full_loss(samples)
         sigma = losses.std(ddof=1) / math.sqrt(losses.size)
         assert abs(losses.mean() - 1 / 6) < 3 * sigma
 
     def test_toy_up_same_moment(self, toy_up):
         samples = st.uniform_sphere_samples(3, 100_000, np.random.default_rng(6))
-        losses = st.analysis.full_losses(toy_up, samples)
+        losses = toy_up.full_loss(samples)
         sigma = losses.std(ddof=1) / math.sqrt(losses.size)
         assert abs(losses.mean() - 1 / 6) < 3 * sigma
 
@@ -323,7 +323,7 @@ class TestUniformSphereBaseline:
 
     def test_vectorized_losses_match_scalar_path(self, toy_up):
         samples = st.uniform_sphere_samples(3, 50, np.random.default_rng(7))
-        fast = st.analysis.full_losses(toy_up, samples)
+        fast = toy_up.full_loss(samples)
         slow = np.array([toy_up.full_loss(w) for w in samples])
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 

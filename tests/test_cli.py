@@ -327,14 +327,19 @@ class TestRunGrid:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("n_lrs, jobs, workers",
-                             [(3, 2, [2]), (3, 3, [3]), (3, 64, [3]), (1, 64, [])])
+    @pytest.mark.parametrize("n_lrs, jobs, workers, groups", [
+        (3, 2, [2], [[0, 2], [1]]),
+        (3, 3, [3], [[0], [1], [2]]),
+        (3, 64, [3], [[0], [1], [2]]),
+        (1, 64, [], []),
+    ], ids=["3-2-workers0", "3-3-workers1", "3-64-workers2", "1-64-workers3"])
     def test_pool_starts_no_more_workers_than_lrs(self, tmp_path, monkeypatch,
-                                                  n_lrs, jobs, workers):
-        """A pool is sized by min(jobs, number of lrs); no real pool is started here."""
+                                                  n_lrs, jobs, workers, groups):
+        """A pool is sized by min(jobs, number of lrs) and worker g gets lrs g, g + N, ...;
+        no real pool is started here."""
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
         cfg = replace(cfg, lr_grid=cfg.lr_grid[:n_lrs])
-        requested = []
+        requested, mapped = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -346,14 +351,16 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, cfgs, index_groups):
+                mapped.extend(list(group) for group in index_groups)
+                return map(fn, cfgs, index_groups)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         out1 = run_grid(cfg, out_dir=tmp_path / "serial", jobs=1)
-        assert requested == []
+        assert requested == mapped == []
         out2 = run_grid(cfg, out_dir=tmp_path / "pooled", jobs=jobs)
         assert requested == workers
+        assert mapped == groups
         for f1 in sorted(out1.glob("*.csv")):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
 
@@ -594,22 +601,66 @@ class TestMainEntryPoint:
         ("summary.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]]),
         ("series_01_*.csv", lambda lines: [lines[0], lines[1].rsplit(",", 3)[0], *lines[2:]]),
         ("series_02_*.csv", lambda lines: [lines[0], lines[1] + ",\xe9", *lines[2:]]),
+        ("baseline.csv", None),
+        ("baseline.csv", lambda lines: lines[:4]),
+        ("baseline.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]]),
+        ("baseline.csv", lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0] + ",1.5x", *lines[3:]]),
     ], ids=["renamed-summary-column", "non-numeric-summary-cell", "non-boolean-summary-cell",
-            "short-series-row", "not-utf8-series"])
+            "short-series-row", "not-utf8-series", "missing-baseline", "short-baseline",
+            "nan-baseline-entropy", "unparsable-baseline-entropy"])
     def test_malformed_experiment_exits_2(self, tmp_path, capsys, small_experiment, pattern, edit):
+        """`edit` rewrites the file's lines; None deletes the file."""
         exp = tmp_path / "exp"
         shutil.copytree(small_experiment, exp)
         (path,) = exp.glob(pattern)
-        lines = path.read_text(encoding="utf-8").split("\n")
-        # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
-        path.write_bytes("\n".join(edit(lines)).encode("latin-1"))
+        if edit is None:
+            path.unlink()
+        else:
+            lines = path.read_text(encoding="utf-8").split("\n")
+            # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
+            path.write_bytes("\n".join(edit(lines)).encode("latin-1"))
         before = {p.name: p.read_bytes() for p in exp.iterdir()}
         assert main(["analyze", str(exp)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert str(path) in err
         assert "Traceback" not in err
+        if pattern == "baseline.csv":
+            assert f"sgdtherm baseline --config {exp / 'config.ini'} --out {exp}" in err
         assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
+
+    def test_analyze_samples_no_baseline(self, tmp_path, monkeypatch, small_experiment):
+        """`analyze` takes the baseline from baseline.csv and writes what it wrote before.
+
+        Only report.txt's first line, which names the experiment directory, differs.
+        """
+        exp = shutil.copytree(small_experiment, tmp_path / "exp")
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("analyze sampled a uniform-sphere baseline")
+
+        monkeypatch.setattr(cli, "uniform_sphere_baseline", no_sampling)
+        assert main(["analyze", str(exp)]) == 0
+        for path in small_experiment.iterdir():
+            old, new = path.read_bytes(), (exp / path.name).read_bytes()
+            if path.name == "report.txt":
+                old, new = old.split(b"\n", 1)[1], new.split(b"\n", 1)[1]
+            assert old == new, path.name
+        assert sorted(p.name for p in exp.iterdir()) == sorted(p.name for p in small_experiment.iterdir())
+
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]], ids=["config-seed", "seed-flag"])
+    def test_run_baseline_matches_baseline_command(self, tmp_path, seed_flag):
+        """`run` writes the baseline.csv that `baseline` writes from the stored config."""
+        path = write_config(tmp_path, TOY_OP_SMALL)
+        exp = tmp_path / "exp"
+        assert main(["run", "--config", str(path), "--out", str(exp), *seed_flag]) == 0
+        assert main(["baseline", "--config", str(exp / "config.ini"), "--out", str(tmp_path / "base")]) == 0
+        run_bytes = (exp / "baseline.csv").read_bytes()
+        assert run_bytes == (tmp_path / "base" / "baseline.csv").read_bytes()
+        assert len(run_bytes.splitlines()) == 5  # header and 4 seeds
+        if seed_flag:
+            assert main(["baseline", "--config", str(path), "--out", str(tmp_path / "unseeded")]) == 0
+            assert run_bytes != (tmp_path / "unseeded" / "baseline.csv").read_bytes()
 
     def test_missing_experiment_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2
