@@ -15,9 +15,12 @@ windows concentrated in a tiny region far from the origin.
 The N x N distance matrix is never formed.  It is walked in tiles of 32
 rows, which stay in L2 cache, through one distance buffer and one Gram
 buffer that every tile reuses.  At the default window a tile's Gram product
-is small enough that OpenBLAS runs it on the calling thread.  The
-arithmetic is the same as on the whole matrix: sq_i + sq_j - 2.0 * G in that order, clamped at 0,
-partitioned per row, then the square roots of the (N, k) neighbor block
+is small enough that OpenBLAS runs it single-threaded on whichever thread
+calls the estimator (`sphere.run_seeded` calls it from several threads at
+once), so a window's result does not depend on the thread.  The
+arithmetic is the same as on the whole matrix:
+sq_i + sq_j - 2.0 * G in that order, clamped at 0, partitioned per row,
+then the square roots of the (N, k) neighbor block taken in place and
 summed in one call.
 """
 
@@ -74,7 +77,8 @@ def knn_total_edge_length(samples, k: int) -> float:
         d2[np.arange(m), np.arange(start, stop)] = np.inf
         d2.partition(k - 1, axis=1)
         out[start:stop] = d2[:, :k]
-    return float(np.sqrt(out).sum())
+    np.sqrt(out, out=out)
+    return float(out.sum())
 
 
 def knn_entropy(samples, k: int, dim: int | None = None) -> float:

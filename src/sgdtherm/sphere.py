@@ -11,10 +11,17 @@ plus iteration 1 and the final iteration.
 learning rate and the seed as one (L, D) array.  Each row gets the same
 BLAS kernels on the same shapes as a chain run alone, so a chain's log does
 not depend on which chains run beside it.
+
+The k-NN entropy windows of the chains are independent and take most of a
+run's time, so a checkpoint's windows are shared between the calling thread
+and helper threads when the process may run on more than one CPU.  Every
+window runs the same code on the same data, whichever thread takes it.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,6 +183,45 @@ def _ring_window(ring_row: np.ndarray, t: int) -> np.ndarray:
     return np.roll(ring_row[:t], -t, axis=0)
 
 
+def _window_entropy(ring_row: np.ndarray, t: int, k: int) -> float:
+    """k-NN entropy of a ring row's window after step t; -inf for a collapsed window."""
+    try:
+        return knn_entropy(_ring_window(ring_row, t), k)
+    except NonPositiveEdgeLength:
+        return -np.inf  # collapsed (delta-like) window
+
+
+def _window_entropies(ring: np.ndarray, due: list[int], t: int, k: int,
+                      pool: ThreadPoolExecutor | None, workers: int) -> list[float]:
+    """Entropies of the windows of ring rows `due` after step t, in the order of `due`.
+
+    `pool` has `workers - 1` threads (None for one worker).  The rows are
+    dealt out to min(workers, windows) interleaved shares: the pool's
+    threads take all but the first, which the calling thread takes.  Every
+    share is read back before this returns, so the ring may be written again
+    afterwards.
+    """
+    def share(rows):
+        return [_window_entropy(ring[r], t, k) for r in rows]
+
+    parts = min(workers, len(due))
+    if parts < 2:
+        return share(due)
+    futures = [pool.submit(share, due[i::parts]) for i in range(1, parts)]
+    out = [0.0] * len(due)
+    out[0::parts] = share(due[0::parts])
+    for i, future in enumerate(futures, start=1):
+        out[i::parts] = future.result()
+    return out
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _trajectory_log(cfg: SgdConfig, points: list[tuple], entropies: list[tuple],
                     snapshots: np.ndarray, stopped: bool) -> TrajectoryLog:
     """One chain's log from its checkpoint rows (t, loss, |g|, mean |g_i|, snr) and (t, entropy) pairs."""
@@ -214,6 +260,14 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     window: at every checkpoint with a full ring, a chain's window is put in
     chronological order and its k-NN entropy logged at that iteration, and
     the window at the final iteration is returned as `snapshots`.
+
+    On a process that may run on more than one CPU, a checkpoint's windows
+    (and those of a loss-stop step) are shared between the calling thread
+    and min(cpus, windows) - 1 helper threads.  The helpers belong to a
+    thread pool of at most min(cpus, chains) - 1 threads that is shut down,
+    its pending work cancelled, before this returns or raises.  With one CPU
+    or one chain no pool is made.  The logs do not depend on the number of
+    threads.
     """
     cfgs = list(cfgs)
     inits = [None] * len(cfgs) if inits is None else list(inits)
@@ -245,51 +299,55 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     logs: list[TrajectoryLog | None] = [None] * len(cfgs)
 
     batch_grad, full_loss = ensemble.batch_grad, ensemble.full_loss
-    t = 0
-    while rows and t < cfg.total_iters:
-        steps = min(_BLOCK_STEPS, cfg.total_iters - t)
-        batches = np.stack([sample_batch(m, cfg.batch_size, rngs[c], steps) for c in rows])
-        for j in range(steps):
-            t += 1
-            v = w - lr * batch_grad(batches[:, j], w)
-            nrm = np.sqrt(np.vecdot(v, v))
-            if np.any(nrm < _NORM_FLOOR):
-                raise ZeroVector(f"weights collapsed to zero at iteration {t}")
-            w = v / nrm[:, None]
-            ring[:, (t - 1) % cfg.window] = w
+    workers = min(_cpus(), len(cfgs))
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    try:
+        t = 0
+        while rows and t < cfg.total_iters:
+            steps = min(_BLOCK_STEPS, cfg.total_iters - t)
+            batches = np.stack([sample_batch(m, cfg.batch_size, rngs[c], steps) for c in rows])
+            for j in range(steps):
+                t += 1
+                v = w - lr * batch_grad(batches[:, j], w)
+                nrm = np.sqrt(np.vecdot(v, v))
+                if np.any(nrm < _NORM_FLOOR):
+                    raise ZeroVector(f"weights collapsed to zero at iteration {t}")
+                w = v / nrm[:, None]
+                ring[:, (t - 1) % cfg.window] = w
 
-            at_checkpoint = t == schedule[next_cp]
-            if at_checkpoint:
-                next_cp += 1
-            loss = full_loss(w) if threshold > 0 else None
-            stop = None if loss is None else loss < threshold
-            stopping = stop is not None and stop.any()
-            if not (at_checkpoint or stopping):
-                continue
-            if loss is None:
-                loss = full_loss(w)
-            for r in range(len(rows)) if at_checkpoint else np.flatnonzero(stop):
-                stats = gradient_stats(ensemble, w[r])
-                if not (np.isfinite(loss[r]) and np.isfinite(stats.full_grad_norm)):
-                    raise NonFinite(f"non-finite loss or gradient at iteration {t}")
-                points[rows[r]].append(
-                    (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
+                at_checkpoint = t == schedule[next_cp]
+                if at_checkpoint:
+                    next_cp += 1
+                loss = full_loss(w) if threshold > 0 else None
+                stop = None if loss is None else loss < threshold
+                stopping = stop is not None and stop.any()
+                if not (at_checkpoint or stopping):
+                    continue
+                if loss is None:
+                    loss = full_loss(w)
+                due = list(range(len(rows))) if at_checkpoint else np.flatnonzero(stop).tolist()
+                for r in due:
+                    stats = gradient_stats(ensemble, w[r])
+                    if not (np.isfinite(loss[r]) and np.isfinite(stats.full_grad_norm)):
+                        raise NonFinite(f"non-finite loss or gradient at iteration {t}")
+                    points[rows[r]].append(
+                        (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
                 if t >= cfg.window:
-                    try:
-                        s = knn_entropy(_ring_window(ring[r], t), cfg.k)
-                    except NonPositiveEdgeLength:
-                        s = -np.inf  # collapsed (delta-like) window
-                    entropies[rows[r]].append((t, s))
-            if stopping:
-                for r in np.flatnonzero(stop):
-                    c = rows[r]
-                    logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c],
-                                              _ring_window(ring[r], t), stopped=True)
-                keep = ~stop
-                w, lr, ring, batches = w[keep], lr[keep], ring[keep], batches[keep]
-                rows = [c for c, k in zip(rows, keep) if k]
-                if not rows:
-                    break
+                    for r, s in zip(due, _window_entropies(ring, due, t, cfg.k, pool, workers)):
+                        entropies[rows[r]].append((t, s))
+                if stopping:
+                    for r in np.flatnonzero(stop):
+                        c = rows[r]
+                        logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c],
+                                                  _ring_window(ring[r], t), stopped=True)
+                    keep = ~stop
+                    w, lr, ring, batches = w[keep], lr[keep], ring[keep], batches[keep]
+                    rows = [c for c, k in zip(rows, keep) if k]
+                    if not rows:
+                        break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     for r, c in enumerate(rows):
         logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c], _ring_window(ring[r], t),
                                   stopped=False)

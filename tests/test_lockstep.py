@@ -3,9 +3,12 @@
 Every chain that `run_seeded` advances beside others must log exactly what
 the reference logs for it alone: every TrajectoryLog field is compared with
 `array_equal`, whatever the batch size, early stops, starts, block size or
-company of the chain.
+company of the chain, and whatever the number of threads its k-NN
+entropy windows are shared between.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 import oracles
 import sgdtherm as st
 from sgdtherm import sphere
-from sgdtherm.errors import DimensionMismatch, InvalidConfig
+from sgdtherm.errors import DimensionMismatch, InvalidConfig, NonFinite
 
 
 def assert_logs_equal(got, want):
@@ -44,6 +47,8 @@ UP_CHAINS = chains([2e-3, 2.2e-2, 0.22, 1.0], seed0=11, total_iters=1500, k=10, 
 # lr 1.0 stops before its window of 200 fills, lr 0.1 after, lr 1e-3 never.
 OP_CHAINS = chains([1e-3, 0.1, 1.0], seed0=7, total_iters=2000, k=10, window=200,
                    loss_stop_threshold=1e-16)
+D10_CHAINS = chains(np.geomspace(0.02, 20.0, 6).tolist(), seed0=40, batch_size=8,
+                    total_iters=1200, k=10, window=300)
 
 
 class TestParityWithReference:
@@ -59,10 +64,7 @@ class TestParityWithReference:
         assert logs[2].entropies.size == 0 and logs[2].snapshots.shape == (stops[2], 3)
 
     def test_hyperplane_d10_batch_eight(self):
-        ens = st.random_hyperplane_ensemble(10, 30, seed=3)
-        lrs = np.geomspace(0.02, 20.0, 6).tolist()
-        assert_matches_reference(ens, chains(lrs, seed0=40, batch_size=8, total_iters=1200,
-                                             k=10, window=300))
+        assert_matches_reference(st.random_hyperplane_ensemble(10, 30, seed=3), D10_CHAINS)
 
     def test_full_ensemble_batch(self):
         ens = st.random_hyperplane_ensemble(4, 6, seed=2)
@@ -83,6 +85,119 @@ class TestParityWithReference:
         together = st.run_seeded(toy_op, OP_CHAINS)
         for cfg, log in zip(OP_CHAINS, together):
             assert_logs_equal(st.run_seeded(toy_op, [cfg])[0], log)
+
+
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """Make the engine see n CPUs, whatever the host has."""
+    def force(n):
+        monkeypatch.setattr(sphere.os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return force
+
+
+class TestWindowThreads:
+    """A checkpoint's windows are shared between the calling thread and a pool of helpers."""
+
+    @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
+    def test_logs_do_not_depend_on_the_cpu_count(self, request, monkeypatch, force_cpus, case):
+        ensemble, cfgs = {
+            "toy_up": (request.getfixturevalue("toy_up"), UP_CHAINS),
+            "toy_op_loss_stop": (request.getfixturevalue("toy_op"), OP_CHAINS),
+            "d10_batch_eight": (st.random_hyperplane_ensemble(10, 30, seed=3), D10_CHAINS),
+        }[case]
+        want = [oracles.run_chain_reference(ensemble, cfg) for cfg in cfgs]
+        threads = set()
+        real = sphere.knn_entropy
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(sphere, "knn_entropy", recording)
+        for n in (1, 2, 5):
+            force_cpus(n)
+            threads.clear()
+            for got, ref in zip(st.run_seeded(ensemble, cfgs), want):
+                assert_logs_equal(got, ref)
+            assert threading.get_ident() in threads
+            if n == 1:
+                assert len(threads) == 1
+            else:
+                assert 2 <= len(threads) <= min(n, len(cfgs))
+
+    class WindowFailed(Exception):
+        pass
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_thread_outlives_the_call(self, toy_up, force_cpus, n):
+        force_cpus(n)
+        before = threading.active_count()
+        st.run_seeded(toy_up, UP_CHAINS)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_thread_outlives_a_failing_window(self, toy_up, monkeypatch, force_cpus, n):
+        force_cpus(n)
+        before = threading.active_count()
+        real, lock, calls = sphere.knn_entropy, threading.Lock(), [0]
+
+        def third_call_raises(*args):
+            with lock:
+                calls[0] += 1
+                call = calls[0]
+            if call == 3:
+                raise self.WindowFailed("injected")
+            return real(*args)
+
+        monkeypatch.setattr(sphere, "knn_entropy", third_call_raises)
+        with pytest.raises(self.WindowFailed):
+            st.run_seeded(toy_up, UP_CHAINS)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_thread_outlives_a_failing_chain(self, toy_up, monkeypatch, force_cpus, n):
+        """A gradient turns non-finite at the first checkpoint after one full round of windows."""
+        force_cpus(n)
+        before = threading.active_count()
+        real_stats, real_entropy = sphere.gradient_stats, sphere.knn_entropy
+        windows = []
+
+        def counted(*args):
+            windows.append(threading.get_ident())
+            return real_entropy(*args)
+
+        def nan_after_a_round(ensemble, w):
+            stats = real_stats(ensemble, w)
+            return replace(stats, full_grad_norm=np.nan) if windows else stats
+
+        monkeypatch.setattr(sphere, "knn_entropy", counted)
+        monkeypatch.setattr(sphere, "gradient_stats", nan_after_a_round)
+        with pytest.raises(NonFinite):
+            st.run_seeded(toy_up, UP_CHAINS)
+        assert len(windows) == len(UP_CHAINS) and len(set(windows)) > 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, cfgs, pools", [
+        (1, UP_CHAINS, []),
+        (2, UP_CHAINS[:1], []),
+        (2, UP_CHAINS, [1]),
+        (5, UP_CHAINS, [3]),
+        (5, UP_CHAINS[:3], [2]),
+    ], ids=["one-cpu", "one-chain", "two-cpus", "five-cpus", "five-cpus-three-chains"])
+    def test_pool_size(self, toy_up, monkeypatch, force_cpus, n, cfgs, pools):
+        """No pool with one CPU or one chain; otherwise min(cpus, chains) - 1 helpers."""
+        force_cpus(n)
+        made = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sphere, "ThreadPoolExecutor", RecordingPool)
+        st.run_seeded(toy_up, [replace(c, total_iters=300) for c in cfgs])
+        assert made == pools
 
 
 class TestBlockSampling:
