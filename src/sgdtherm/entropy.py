@@ -8,31 +8,33 @@ distribution, which is all the downstream temperature analysis needs: only
 entropy differences enter there.
 
 Neighbor search is exact brute force.  Pairwise squared distances are
-computed on mean-centered samples via the Gram matrix, which keeps the
-computation O(N^2 D), deterministic, and numerically stable even for
-windows concentrated in a tiny region far from the origin.
+computed on mean-centered samples c as one matrix product: the rows
+[|c_i|^2, 1, c_i] times the columns [1, |c_j|^2, -2 c_j] give
+|c_i|^2 + |c_j|^2 - 2 c_i . c_j.  This keeps the computation O(N^2 D),
+deterministic, and numerically stable even for windows concentrated in a
+tiny region far from the origin.
 
 The N x N distance matrix is never formed.  It is walked in tiles of 32
-rows, which stay in L2 cache, through one distance buffer and one Gram
-buffer that every tile reuses.  At the default window a tile's Gram product
-is small enough that OpenBLAS runs it single-threaded on whichever thread
-calls the estimator (`sphere.run_seeded` calls it from several threads at
-once), so a window's result does not depend on the thread.  The
-arithmetic is the same as on the whole matrix:
-sq_i + sq_j - 2.0 * G in that order, clamped at 0, partitioned per row,
-then the square roots of the (N, k) neighbor block taken in place and
-summed in one call.
+rows, which stay in L2 cache: each tile is one product of 32 left rows
+with the whole right factor, written into one buffer that every tile
+reuses.  At the default window that product is small enough that OpenBLAS
+runs it single-threaded on whichever thread calls the estimator
+(`sphere.run_seeded` calls it from several threads at once), so a window's
+result does not depend on the thread.  Each row gets an `inf` diagonal and
+is partitioned at k - 1.  The (N, k) neighbor block is then clamped at 0
+(rounding can put near-coincident rows below it; the clamp is monotone, so
+the neighbors are the same), square-rooted in place and summed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
+from .errors import InvalidConfig, NonFinite, NonPositiveEdgeLength, TooFewSamples
 
 # 32 rows of N = 1000 doubles are 256 KB, so a tile stays in L2, and a
-# 32 x D x 1000 product with D < 16 is below the size at which OpenBLAS
-# splits a GEMM across threads.
+# 32 x (D + 2) x 1000 product with D < 16 is below the size at which
+# OpenBLAS splits a GEMM across threads (128-row tiles at D = 10 are not).
 _TILE_ROWS = 32
 
 
@@ -56,27 +58,25 @@ def knn_total_edge_length(samples, k: int) -> float:
     n = x.shape[0]
     if n <= k:
         raise TooFewSamples(f"need more than k={k} samples, got {n}")
+    if not np.isfinite(x).all():
+        raise NonFinite("samples contain NaN or inf")
     centered = x - x.mean(axis=0)
     sq = np.einsum("ij,ij->i", centered, centered)
+    ones = np.ones(n)
+    left = np.column_stack((sq, ones, centered))
+    right = np.vstack((ones, sq, -2.0 * centered.T))
     out = np.empty((n, k))
     rows = min(_TILE_ROWS, n)
     d2_tile = np.empty((rows, n))
-    gram_tile = np.empty((rows, n))
     bounds = list(range(0, n, rows)) + [n]
     if bounds[-1] - bounds[-2] == 1:
         bounds[-2] -= 1  # numpy takes a one-row product by gemv, which rounds unlike gemm
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        m = stop - start
-        d2, g = d2_tile[:m], gram_tile[:m]
-        # Same operations, in the same order, as sq_i + sq_j - 2.0 * G.
-        np.add(sq[start:stop, None], sq[None, :], out=d2)
-        np.matmul(centered[start:stop], centered.T, out=g)
-        g *= 2.0
-        np.subtract(d2, g, out=d2)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(m), np.arange(start, stop)] = np.inf
+        d2 = np.matmul(left[start:stop], right, out=d2_tile[: stop - start])
+        d2.ravel()[start :: n + 1] = np.inf  # entries (i, i); d2 is contiguous, so ravel is a view
         d2.partition(k - 1, axis=1)
         out[start:stop] = d2[:, :k]
+    np.maximum(out, 0.0, out=out)
     np.sqrt(out, out=out)
     return float(out.sum())
 

@@ -160,21 +160,31 @@ def degenerate_edge_count(samples, k: int) -> int:
     return int(np.minimum(np.count_nonzero(dist == 0.0, axis=1), k).sum())
 
 
-def knn_edge_length_one_block(samples, k: int) -> float:
-    """k-NN total edge length from the whole N x N squared-distance matrix at once.
+def squared_distances_one_block(samples) -> np.ndarray:
+    """The whole N x N squared-distance matrix as the package's row tiles compute it.
 
-    The same operations, in the same order, as the package's row tiles:
-    sq_i + sq_j - 2.0 * G on mean-centered samples, clamped at 0, with an
-    `inf` diagonal, partitioned per row at k - 1, then sqrt and sum over the
-    (N, k) block of neighbor distances.
+    On mean-centered samples c with squared row norms sq: the product of the
+    rows [sq_i, 1, c_i] with the columns [1, sq_j, -2 c_j], not clamped, with
+    an `inf` diagonal.
     """
     x = np.asarray(samples, dtype=float)
     centered = x - x.mean(axis=0)
     sq = np.einsum("ij,ij->i", centered, centered)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
-    np.maximum(d2, 0.0, out=d2)
+    ones = np.ones(x.shape[0])
+    d2 = np.column_stack((sq, ones, centered)) @ np.vstack((ones, sq, -2.0 * centered.T))
     np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(np.partition(d2, k - 1, axis=1)[:, :k]).sum())
+    return d2
+
+
+def knn_edge_length_one_block(samples, k: int) -> float:
+    """k-NN total edge length from the whole N x N squared-distance matrix at once.
+
+    The same operations, in the same order, as the package's row tiles:
+    `squared_distances_one_block`, a partition per row at k - 1, then clamp
+    at 0, sqrt and sum over the (N, k) block of neighbor distances.
+    """
+    block = np.partition(squared_distances_one_block(samples), k - 1, axis=1)[:, :k]
+    return float(np.sqrt(np.maximum(block, 0.0)).sum())
 
 
 def knn_edge_length_brute_force(samples, k: int) -> float:

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm.errors import InvalidConfig, NonPositiveEdgeLength, TooFewSamples
+from sgdtherm import sphere
+from sgdtherm.errors import InvalidConfig, NonFinite, NonPositiveEdgeLength, TooFewSamples
 
 TILE_K = 5
 
@@ -69,6 +76,55 @@ class TestTotalEdgeLength:
         assert tiled == oracles.knn_edge_length_one_block(x, TILE_K)
         np.testing.assert_allclose(tiled, oracles.knn_edge_length_brute_force(x, TILE_K),
                                    rtol=1e-12, atol=zero_edge_slack(x, TILE_K))
+
+    def test_near_duplicates_far_from_origin_are_clamped(self):
+        """Rounding puts some near-coincident rows below 0; the clamp keeps every edge finite.
+
+        Each cluster of three rows lies within 1e-9 of its center, far below
+        the rounding of |c|^2 ~ 1, so each row has two edges that read like
+        the edges between coincident rows in `zero_edge_slack`.
+        """
+        rng = np.random.default_rng(7)
+        centers = rng.uniform(-1.0, 1.0, size=(100, 3))
+        x = 1e3 + np.repeat(centers, 3, axis=0) + 1e-9 * rng.standard_normal((300, 3))
+        assert (oracles.squared_distances_one_block(x) < 0.0).any()
+        total = st.knn_total_edge_length(x, TILE_K)
+        assert np.isfinite(total)
+        near_edges = 2 * x.shape[0]
+        norms = np.linalg.norm(x - x.mean(axis=0), axis=1)
+        slack = near_edges * 2.0 * np.sqrt((x.shape[1] + 1) * np.finfo(float).eps) * norms.max()
+        np.testing.assert_allclose(total, oracles.knn_edge_length_brute_force(x, TILE_K),
+                                   rtol=1e-12, atol=slack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_raises(self, bad):
+        x = np.random.default_rng(6).standard_normal((100, 3))
+        x[17, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                st.knn_total_edge_length(x, TILE_K)
+            with pytest.raises(NonFinite):
+                st.knn_entropy(x, TILE_K)
+
+    def test_result_does_not_depend_on_blas_threads(self):
+        """One BLAS thread and OpenBLAS's default thread count give the same bits."""
+        code = (
+            "import numpy as np, sgdtherm as st\n"
+            "rng = np.random.default_rng(8)\n"
+            "for dim in (3, 10):\n"
+            "    print(st.knn_total_edge_length(rng.standard_normal((1000, dim)), 50).hex())\n"
+        )
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(st.__file__).parents[1]), env.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run([sys.executable, "-c", code], env=env | extra, capture_output=True,
+                           text=True, check=True, timeout=120).stdout
+            for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+        ]
+        assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
 
     def test_duplicates_counted_not_fatal(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -171,6 +227,43 @@ class TestSlidingWindowEntropy:
             ]
             spreads.append(np.var(vals, ddof=1))
         assert spreads[1] < spreads[0]
+
+
+class TestEngineWindows:
+    """Every window the engine logs meets the brute-force tolerance of the row tiles."""
+
+    @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
+    def test_logged_windows_match_brute_force(self, request, monkeypatch, case):
+        # toy_up: a concentrated (1e-5), a medium (1e-3) and a duplicate-heavy (1.0) window.
+        ensemble, cfgs = {
+            "toy_up": (request.getfixturevalue("toy_up"),
+                       [st.SgdConfig(learning_rate=lr, total_iters=2000, seed=4,
+                                     checkpoints_per_decade=5) for lr in (1e-5, 1e-3, 1.0)]),
+            "toy_op_loss_stop": (request.getfixturevalue("toy_op"),
+                                 [st.SgdConfig(learning_rate=2.3e-2, total_iters=50_000, seed=3,
+                                               checkpoints_per_decade=5,
+                                               loss_stop_threshold=1e-16)]),
+            "d10_batch_eight": (st.random_hyperplane_ensemble(10, 30, seed=3),
+                                [st.SgdConfig(learning_rate=lr, batch_size=8, total_iters=2000,
+                                              seed=5, checkpoints_per_decade=5)
+                                 for lr in (0.02, 1.0, 20.0)]),
+        }[case]
+        windows = []
+        real = sphere.knn_entropy
+
+        def recording(samples, k, *args):
+            windows.append((np.array(samples), k))
+            return real(samples, k, *args)
+
+        monkeypatch.setattr(sphere, "knn_entropy", recording)
+        logs = st.run_seeded(ensemble, cfgs)
+        assert len(windows) == sum(log.entropies.size for log in logs) >= 2 * len(cfgs)
+        if case == "toy_op_loss_stop":
+            assert logs[0].stopped_early
+        for x, k in windows:
+            np.testing.assert_allclose(st.knn_total_edge_length(x, k),
+                                       oracles.knn_edge_length_brute_force(x, k),
+                                       rtol=1e-12, atol=zero_edge_slack(x, k))
 
 
 class TestEntropyConfig:
