@@ -94,7 +94,10 @@ SUMMARY_COLUMNS = {
 }
 # baseline.csv: one (seed, mean loss, entropy) row per uniform-sphere cloud.
 BASELINE_COLUMNS = ("seed", "U", "S")
+# Columns read back as true/false.  Every other column is read as floats (blank
+# is NaN), and an `iter` column is also checked by `_check_iters`.
 _BOOL_COLUMNS = {"stabilized"}
+_BOOLS = {"true": True, "false": False}
 
 MODEL_KINDS = ("toy_op", "toy_up", "hyperplane")
 
@@ -304,6 +307,8 @@ def _run_chains(cfg: ExperimentConfig, indices: range):
 
 def _cell(value) -> str:
     """The one cell format: floats through `fmt`, booleans as true/false, ints as-is, None blank."""
+    if isinstance(value, float):  # almost every cell, np.float64 included
+        return fmt(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -314,41 +319,82 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """The one CSV byte format: UTF-8, "\n" line endings, a header row first."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+    """The one CSV byte format: UTF-8, "\n" line endings, a header row first.
+
+    No cell `_cell` writes holds a comma, a quote or a line break, and every
+    table has at least two columns, so joining with "," gives the bytes
+    `csv.writer` gives.
+    """
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _parse_cell(column: str, raw: str | None):
-    """Inverse of `_cell`: true/false in a boolean column, a float elsewhere (blank is NaN)."""
-    if column in _BOOL_COLUMNS:
-        return {"true": True, "false": False}[raw]
-    return math.nan if raw == "" else float(raw)
+def _parse_columns(path: Path, header: list[str], columns, rows: list[list[str]],
+                   lines: list[int]) -> dict[str, list]:
+    """Inverse of `_cell`, one column at a time: true/false in a boolean column, a float
+    elsewhere (blank is NaN).  A duplicated header name reads its last column."""
+    index = {name: i for i, name in enumerate(header)}
+
+    def parse(column, rows):
+        i = index[column]
+        if column in _BOOL_COLUMNS:
+            return [_BOOLS[row[i]] for row in rows]
+        return [float(row[i]) if row[i] else math.nan for row in rows]
+
+    try:
+        return {c: parse(c, rows) for c in columns}
+    except (IndexError, KeyError, ValueError):
+        # Report the first bad cell in file order, as a row-by-row parse finds it.
+        for row, line in zip(rows, lines):
+            for c in columns:
+                try:  # a short row raises IndexError
+                    parse(c, [row])
+                except (IndexError, KeyError, ValueError) as exc:
+                    raise MissingData(
+                        f"{path}, line {line}: missing or unreadable {c!r} cell") from exc
+        raise
+
+
+def _check_iters(path: Path, iters: list[float], lines: list[int]) -> None:
+    """A series file's `iter` column counts checkpoints: strictly increasing integers >= 1."""
+    prev = 0.0
+    for it, line in zip(iters, lines):
+        if not (it > prev and it.is_integer()):
+            raise MissingData(f"{path}, line {line}: 'iter' cell {fmt(it)} is not an integer "
+                              f"above {fmt(prev)}; iters must be strictly increasing integers >= 1")
+        prev = it
 
 
 def _read_csv(path: Path, columns) -> dict[str, list]:
-    """The named columns of a file written by `_write_csv`; any defect is MissingData."""
-    cols = {c: [] for c in columns}
+    """The named columns of a file written by `_write_csv`; any defect is MissingData.
+
+    Blank lines are skipped and cells past the header are ignored.  A bad
+    cell is reported by the line on which its row ends.
+    """
+    rows, lines = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in columns if c not in (reader.fieldnames or [])]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise MissingData(f"{path}: missing column(s) {', '.join(missing)}")
-            for row in reader:
-                for c in columns:
-                    try:  # a short row holds None
-                        cols[c].append(_parse_cell(c, row[c]))
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise MissingData(
-                            f"{path}, line {reader.line_num}: missing or unreadable {c!r} cell"
-                        ) from exc
+            try:
+                for row in reader:
+                    if row:
+                        rows.append(row)
+                        lines.append(reader.line_num)
+            except (UnicodeDecodeError, csv.Error):
+                # A bad cell above the unreadable line is reported first.
+                _parse_columns(path, header, columns, rows, lines)
+                raise
     except FileNotFoundError as exc:
         raise MissingData(f"file not found: {path}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MissingData(f"{path}: {exc}") from exc
+    cols = _parse_columns(path, header, columns, rows, lines)
+    if "iter" in cols:
+        _check_iters(path, cols["iter"], lines)
     return cols
 
 
@@ -569,6 +615,12 @@ def analyze(exp_dir: str | Path, out_dir: str | Path | None = None,
     cfg = replace(load_config(exp / "config.ini"),
                   **{name: v for name, v in overrides.items() if v is not None})
     estimates = read_summary(exp / "summary.csv")
+    lrs, grid = [e.lr for e in estimates], list(cfg.lr_grid)
+    if lrs != grid:
+        row = next((i for i, (a, b) in enumerate(zip(lrs, grid)) if a != b), min(len(lrs), len(grid)))
+        raise MissingData(f"{exp / 'summary.csv'}: lr column does not match the [grid] lrs of "
+                          f"{exp / 'config.ini'} ({len(lrs)} rows for {len(grid)} lrs; the first "
+                          f"difference is at data row {row + 1})")
     series = {idx: read_series(exp / series_filename(idx, e.lr))
               for idx, e in enumerate(estimates) if not e.stabilized}
     base_ents = read_baseline_entropies(exp, cfg)

@@ -7,6 +7,7 @@ force), so that a test can compare it with the package's own computation.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from sgdtherm.errors import (
     BatchTooLarge,
     DimensionMismatch,
     DomainViolation,
+    MissingData,
     NonFinite,
     NonPositiveEdgeLength,
     ZeroVector,
@@ -313,3 +315,60 @@ def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> Trajec
         stopped_early=stopped,
         config=cfg,
     )
+
+
+def read_csv_reference(path, columns) -> dict[str, list]:
+    """The named columns of a CSV file, one `csv.DictReader` row and one parse per cell.
+
+    The reference for `cli._read_csv`, which must return the same values or
+    raise MissingData with the same message.  "stabilized" is the boolean
+    column (true/false); every other column holds floats, blank for NaN.
+    """
+    def parse_cell(column, raw):
+        if column == "stabilized":
+            return {"true": True, "false": False}[raw]
+        return math.nan if raw == "" else float(raw)
+
+    cols = {c: [] for c in columns}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or [])]
+            if missing:
+                raise MissingData(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                for c in columns:
+                    try:  # a short row holds None
+                        cols[c].append(parse_cell(c, row[c]))
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise MissingData(
+                            f"{path}, line {reader.line_num}: missing or unreadable {c!r} cell"
+                        ) from exc
+    except FileNotFoundError as exc:
+        raise MissingData(f"file not found: {path}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MissingData(f"{path}: {exc}") from exc
+    return cols
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """A CSV file written by `csv.writer`, one `cell` string per value.
+
+    The reference for `cli._write_csv`, which must write the same bytes.
+    """
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
+
+
+def cell(value) -> str:
+    """One CSV cell, tested type by type: None blank, booleans true/false, ints in full,
+    anything else with 17 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return f"{value:.17g}"

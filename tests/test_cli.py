@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
+import oracles
 import sgdtherm as st
 from sgdtherm import cli
 from sgdtherm.cli import (
@@ -228,6 +229,32 @@ class TestFloatFormat:
         assert fmt(math.nan) == "nan"
 
 
+# Header names and cells for fuzzed CSV texts.  One cell in ten is drawn from
+# ODD_CELLS: a cell of the other type, an unparsable one, a quoted field that
+# holds a comma or a line break, or "\udce9", which is written as the byte 0xe9
+# and is not UTF-8.
+CSV_NAMES = hs.sampled_from(["lr", "S", "stabilized"])
+FLOAT_CELLS = hs.one_of(hs.floats().map(repr),
+                        hs.sampled_from(["", "nan", "-inf", "-0", "5e-324", "1e999", '"0.25"']))
+BOOL_CELLS = hs.sampled_from(["true", "false", '"true"'])
+ODD_CELLS = hs.sampled_from(["", " 2", "1_0", "abc", "True", "1.5", "true", '"3,5"', '"7\n8"',
+                             '"9\r\n"', '"x""y"', "\udce9", "\u00e9"])
+
+
+def csv_cells(name):
+    good = BOOL_CELLS if name == "stabilized" else FLOAT_CELLS
+    return hs.integers(0, 9).flatmap(lambda i: ODD_CELLS if i == 0 else good)
+
+
+# Every type of value a table row holds.
+SPECIAL_FLOATS = hs.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1 / 3])
+CELL_VALUES = hs.one_of(
+    hs.floats(), SPECIAL_FLOATS, SPECIAL_FLOATS.map(np.float64), hs.floats().map(np.float64),
+    hs.booleans(), hs.booleans().map(np.bool_),
+    hs.integers(), hs.integers(-2**63, 2**63 - 1).map(np.int64), hs.none(),
+)
+
+
 class TestCsvRoundTrip:
     def test_summary(self, tmp_path):
         rows = [
@@ -262,6 +289,68 @@ class TestCsvRoundTrip:
             if field != "entropies":
                 np.testing.assert_array_equal(got[column], getattr(log, field))
         np.testing.assert_array_equal(got["entropy"], [math.nan, math.nan, -math.inf, -2.75])
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=hs.data(), newline=hs.sampled_from(["\n", "\r\n"]), last_newline=hs.booleans())
+    def test_reader_matches_dict_reader(self, tmp_path, data, newline, last_newline):
+        """Same columns, or the same MissingData message, as one DictReader parse per cell.
+
+        A row's cells mostly suit their column; a row of no cells is a blank
+        line, and one of more cells than the header is a long row.
+        """
+        header = data.draw(hs.lists(CSV_NAMES, min_size=1, max_size=5), label="header")
+        columns = data.draw(hs.lists(hs.sampled_from(sorted(set(header))), min_size=1,
+                                     unique=True), label="columns")
+        if data.draw(hs.integers(0, 9), label="ask for a missing column") == 0:
+            columns.append("U")
+        names = [*header, "x", "x"]
+        rows = data.draw(hs.lists(
+            hs.integers(0, len(names)).flatmap(
+                lambda n: hs.tuples(*(csv_cells(name) for name in names[:n]))),
+            max_size=8), label="rows")
+        text = newline.join(",".join(row) for row in [header, *rows]) + newline * last_newline
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+        def outcome(read):
+            try:
+                cols = read(path, columns)
+            except MissingData as exc:
+                return str(exc)
+            return [(c, [(type(v), repr(v)) for v in vals]) for c, vals in cols.items()]
+
+        assert outcome(cli._read_csv) == outcome(oracles.read_csv_reference)
+
+    @pytest.mark.parametrize("bad_cell", [True, False], ids=["bad-cell-first", "bad-byte-only"])
+    def test_reader_matches_dict_reader_past_first_chunk(self, tmp_path, bad_cell):
+        """A byte that is not UTF-8 far down a file is decoded only when the reader gets there,
+        so a bad cell above it is reported first."""
+        rows = [f"{i},0.5,true" for i in range(1, 2001)]
+        if bad_cell:
+            rows[1] = "2,abc,true"
+        rows[-1] = "2000,0.5,tru\udce9"
+        path = tmp_path / "table.csv"
+        path.write_bytes("\n".join(["lr,S,stabilized", *rows, ""]).encode("utf-8", "surrogateescape"))
+        assert path.stat().st_size > 16384
+
+        def outcome(read):
+            with pytest.raises(MissingData) as exc:
+                read(path, ["stabilized", "S"])
+            return str(exc.value)
+
+        message = outcome(cli._read_csv)
+        assert message == outcome(oracles.read_csv_reference)
+        assert ("line 3: missing or unreadable 'S' cell" in message) == bad_cell
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=hs.lists(CSV_NAMES, min_size=2, max_size=5),
+           rows=hs.lists(hs.lists(CELL_VALUES, min_size=2, max_size=5), max_size=6))
+    def test_writer_matches_csv_writer(self, tmp_path, header, rows):
+        cli._write_csv(tmp_path / "new.csv", header, rows)
+        oracles.write_csv_reference(tmp_path / "reference.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestRunGrid:
@@ -408,6 +497,25 @@ class TestAnalyze:
         before = {p.name: p.read_bytes() for p in exp.iterdir()}
         assert main(["analyze", str(exp), "--epsilon", "0.02"]) == 2
         assert str(path) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [*lines[:-2], lines[-1]],
+        lambda lines: [*lines[:-1], lines[-2], lines[-1]],
+    ], ids=["stabilized-row-deleted", "row-appended"])
+    def test_summary_rows_must_match_grid(self, tmp_path, capsys, up_experiment, edit):
+        """A summary.csv whose lr column is not the config's grid fails before anything is read
+        or written; its last row is a stabilized run, whose series file `analyze` never reads."""
+        exp = shutil.copytree(up_experiment, tmp_path / "exp")
+        path = exp / "summary.csv"
+        lines = path.read_text().split("\n")
+        assert lines[-2].endswith(",true")
+        path.write_text("\n".join(edit(lines)))
+        before = {p.name: p.read_bytes() for p in exp.iterdir()}
+        assert main(["analyze", str(exp)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: lr column" in err
+        assert f"of {exp / 'config.ini'}" in err
         assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
 
     def test_reduce_experiment_is_pure(self, tmp_path, monkeypatch, capsys):
@@ -595,21 +703,48 @@ class TestMainEntryPoint:
         assert main(["analyze", str(exp)]) == 0
         return exp
 
-    @pytest.mark.parametrize("pattern, edit", [
-        ("summary.csv", lambda lines: [lines[0].replace("U_std", "U_sd"), *lines[1:]]),
-        ("summary.csv", lambda lines: [lines[0], "abc" + lines[1][lines[1].index(","):], *lines[2:]]),
-        ("summary.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]]),
-        ("series_01_*.csv", lambda lines: [lines[0], lines[1].rsplit(",", 3)[0], *lines[2:]]),
-        ("series_02_*.csv", lambda lines: [lines[0], lines[1] + ",\xe9", *lines[2:]]),
-        ("baseline.csv", None),
-        ("baseline.csv", lambda lines: lines[:4]),
-        ("baseline.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]]),
-        ("baseline.csv", lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0] + ",1.5x", *lines[3:]]),
+    @pytest.mark.parametrize("pattern, edit, message", [
+        ("summary.csv", lambda lines: [lines[0].replace("U_std", "U_sd"), *lines[1:]],
+         "missing column(s) U_std"),
+        ("summary.csv", lambda lines: [lines[0], "abc" + lines[1][lines[1].index(","):], *lines[2:]],
+         "line 2: missing or unreadable 'lr' cell"),
+        ("summary.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]],
+         "line 2: missing or unreadable 'stabilized' cell"),
+        ("summary.csv", lambda lines: [*lines[:-2], lines[-1]], "lr column"),
+        ("summary.csv", lambda lines: [lines[0], *lines[2:]], "lr column"),
+        ("summary.csv", lambda lines: [*lines[:-1], "1,nan,nan,nan,nan,false", lines[-1]], "lr column"),
+        ("summary.csv", lambda lines: [lines[0], "nan" + lines[1][lines[1].index(","):], *lines[2:]],
+         "lr column"),
+        ("series_01_*.csv", lambda lines: [lines[0], lines[1].rsplit(",", 3)[0], *lines[2:]],
+         "line 2: missing or unreadable 'mean_stoch_grad_norm' cell"),
+        ("series_02_*.csv", lambda lines: [lines[0], lines[1] + ",\xe9", *lines[2:]],
+         "can't decode byte 0xe9"),
+        ("series_00_*.csv", lambda lines: [lines[0], *reversed(lines[1:-1]), lines[-1]],
+         "line 3: 'iter' cell"),
+        ("series_01_*.csv", lambda lines: [lines[0], "-1" + lines[1][lines[1].index(","):], *lines[2:]],
+         "line 2: 'iter' cell -1 "),
+        ("series_01_*.csv", lambda lines: [lines[0], "nan" + lines[1][lines[1].index(","):], *lines[2:]],
+         "line 2: 'iter' cell nan "),
+        ("series_00_*.csv", lambda lines: [lines[0], "0" + lines[1][lines[1].index(","):], *lines[2:]],
+         "line 2: 'iter' cell 0 "),
+        ("series_02_*.csv", lambda lines: [lines[0], lines[2].split(",")[0] + lines[1][lines[1].index(","):],
+                                           *lines[2:]],
+         "line 3: 'iter' cell"),
+        ("baseline.csv", None, "file not found"),
+        ("baseline.csv", lambda lines: lines[:4], "expected 4 finite S values"),
+        ("baseline.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]],
+         "expected 4 finite S values"),
+        ("baseline.csv", lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0] + ",1.5x", *lines[3:]],
+         "line 3: missing or unreadable 'S' cell"),
     ], ids=["renamed-summary-column", "non-numeric-summary-cell", "non-boolean-summary-cell",
-            "short-series-row", "not-utf8-series", "missing-baseline", "short-baseline",
-            "nan-baseline-entropy", "unparsable-baseline-entropy"])
-    def test_malformed_experiment_exits_2(self, tmp_path, capsys, small_experiment, pattern, edit):
-        """`edit` rewrites the file's lines; None deletes the file."""
+            "summary-last-row-deleted", "summary-first-row-deleted", "summary-row-appended",
+            "nan-summary-lr", "short-series-row", "not-utf8-series", "reversed-series-rows",
+            "negative-first-iter", "nan-first-iter", "zero-first-iter", "duplicated-first-iter", "missing-baseline",
+            "short-baseline", "nan-baseline-entropy", "unparsable-baseline-entropy"])
+    def test_malformed_experiment_exits_2(self, tmp_path, capsys, small_experiment, pattern, edit,
+                                          message):
+        """`edit` rewrites the file's lines; None deletes the file.  The error names the file
+        and holds `message`."""
         exp = tmp_path / "exp"
         shutil.copytree(small_experiment, exp)
         (path,) = exp.glob(pattern)
@@ -624,6 +759,7 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert "error:" in err
         assert str(path) in err
+        assert message in err
         assert "Traceback" not in err
         if pattern == "baseline.csv":
             assert f"sgdtherm baseline --config {exp / 'config.ini'} --out {exp}" in err
