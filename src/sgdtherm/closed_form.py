@@ -84,9 +84,7 @@ def hessian_ensemble_snr(hessians: np.ndarray, direction: np.ndarray) -> float |
     return math.sqrt(full_sq) / math.sqrt(variance)
 
 
-def factorization_residual(
-    sin_sq_azimuth: float, sin_sq_half_angle: float, coefficient_shift: float = 0.0
-) -> float:
+def factorization_residual(sin_sq_azimuth: float, sin_sq_half_angle: float) -> float:
     """Residual of the polynomial identity behind the radial SNR monotonicity.
 
     With S = sin^2(azimuth), R = sin^2(half_angle), 0 <= S <= R < 1/2, and
@@ -97,8 +95,6 @@ def factorization_residual(
 
     the identity M*Q - P = (S - R) (8 R S^2 - 8 R S + R - 4 S^2 + 3 S) holds;
     the returned residual (left minus right) should vanish to rounding.
-    `coefficient_shift` perturbs the linear coefficient 3 of the factored
-    side and exists only as a negative-control hook for verification tests.
     """
     s = float(sin_sq_azimuth)
     r = float(sin_sq_half_angle)
@@ -107,7 +103,5 @@ def factorization_residual(
     m = s * (1.0 - r) ** 2 + (1.0 - s) * r * r
     p = (s * (1.0 - r) + (1.0 - s) * r) ** 2
     q = 4.0 * s * (1.0 - s)
-    factored = (s - r) * (
-        8.0 * r * s * s - 8.0 * r * s + r - 4.0 * s * s + (3.0 + coefficient_shift) * s
-    )
+    factored = (s - r) * (8.0 * r * s * s - 8.0 * r * s + r - 4.0 * s * s + 3.0 * s)
     return (m * q - p) - factored

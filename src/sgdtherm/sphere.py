@@ -13,9 +13,9 @@ BLAS kernels on the same shapes as a chain run alone, so a chain's log does
 not depend on which chains run beside it.
 
 The k-NN entropy windows of the chains are independent and take most of a
-run's time, so a checkpoint's windows are shared between the calling thread
-and helper threads when the process may run on more than one CPU.  Every
-window runs the same code on the same data, whichever thread takes it.
+run's time, so a checkpoint's windows run on a pool of one thread per CPU
+the process may run on, at most one per chain.  Every window runs the same
+code on the same data, whichever thread takes it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -191,30 +192,6 @@ def _window_entropy(ring_row: np.ndarray, t: int, k: int) -> float:
         return -np.inf  # collapsed (delta-like) window
 
 
-def _window_entropies(ring: np.ndarray, due: list[int], t: int, k: int,
-                      pool: ThreadPoolExecutor | None, workers: int) -> list[float]:
-    """Entropies of the windows of ring rows `due` after step t, in the order of `due`.
-
-    `pool` has `workers - 1` threads (None for one worker).  The rows are
-    dealt out to min(workers, windows) interleaved shares: the pool's
-    threads take all but the first, which the calling thread takes.  Every
-    share is read back before this returns, so the ring may be written again
-    afterwards.
-    """
-    def share(rows):
-        return [_window_entropy(ring[r], t, k) for r in rows]
-
-    parts = min(workers, len(due))
-    if parts < 2:
-        return share(due)
-    futures = [pool.submit(share, due[i::parts]) for i in range(1, parts)]
-    out = [0.0] * len(due)
-    out[0::parts] = share(due[0::parts])
-    for i, future in enumerate(futures, start=1):
-        out[i::parts] = future.result()
-    return out
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -261,12 +238,10 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     chronological order and its k-NN entropy logged at that iteration, and
     the window at the final iteration is returned as `snapshots`.
 
-    On a process that may run on more than one CPU, a checkpoint's windows
-    (and those of a loss-stop step) are shared between the calling thread
-    and min(cpus, windows) - 1 helper threads.  The helpers belong to a
-    thread pool of at most min(cpus, chains) - 1 threads that is shut down,
-    its pending work cancelled, before this returns or raises.  With one CPU
-    or one chain no pool is made.  The logs do not depend on the number of
+    A checkpoint's windows (and those of a loss-stop step) run on a thread
+    pool of min(cpus, chains) threads, which start on the first window and
+    are joined before this returns or raises; a window that raises cancels
+    the windows still pending.  The logs do not depend on the number of
     threads.
     """
     cfgs = list(cfgs)
@@ -299,9 +274,7 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     logs: list[TrajectoryLog | None] = [None] * len(cfgs)
 
     batch_grad, full_loss = ensemble.batch_grad, ensemble.full_loss
-    workers = min(_cpus(), len(cfgs))
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-    try:
+    with ThreadPoolExecutor(min(_cpus(), len(cfgs))) as pool:
         t = 0
         while rows and t < cfg.total_iters:
             steps = min(_BLOCK_STEPS, cfg.total_iters - t)
@@ -333,7 +306,9 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
                     points[rows[r]].append(
                         (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
                 if t >= cfg.window:
-                    for r, s in zip(due, _window_entropies(ring, due, t, cfg.k, pool, workers)):
+                    windows = pool.map(_window_entropy, [ring[r] for r in due],
+                                       repeat(t), repeat(cfg.k))
+                    for r, s in zip(due, windows):
                         entropies[rows[r]].append((t, s))
                 if stopping:
                     for r in np.flatnonzero(stop):
@@ -345,9 +320,6 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
                     rows = [c for c, k in zip(rows, keep) if k]
                     if not rows:
                         break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     for r, c in enumerate(rows):
         logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c], _ring_window(ring[r], t),
                                   stopped=False)

@@ -2,7 +2,8 @@
 
 Nothing in `sgdtherm` uses these: each one restates a loss, a gradient or a
 closed form in a second way (per component, in polar coordinates, by brute
-force), so that a test can compare it with the package's own computation.
+force), so that a test can compare it with the package's own computation,
+or perturbs one, so that a test can show a check rejecting it.
 """
 
 from __future__ import annotations
@@ -148,6 +149,23 @@ def two_circle_snr_sq_polar(radial: float, azimuth: float, half_angle: float) ->
     """two_circle_snr_sq at (x, y) = (radial*sin(azimuth), radial*cos(azimuth))."""
     x, y = PolarParams(half_angle=half_angle, radial=radial, azimuth=azimuth).to_xy()
     return two_circle_snr_sq(x, y, half_angle)
+
+
+def factorization_residual_shifted(sin_sq_azimuth: float, sin_sq_half_angle: float,
+                                   shift: float = 1e-6) -> float:
+    """`factorization_residual` with the linear coefficient 3 of its factored side moved by `shift`.
+
+    A negative control: the identity holds only at shift 0, so an identity
+    check must fail on this residual at any other shift.
+    """
+    s, r = float(sin_sq_azimuth), float(sin_sq_half_angle)
+    if not 0.0 <= s <= r < 0.5:
+        raise DomainViolation(f"need 0 <= S <= R < 1/2, got S={s}, R={r}")
+    m = s * (1.0 - r) ** 2 + (1.0 - s) * r * r
+    p = (s * (1.0 - r) + (1.0 - s) * r) ** 2
+    q = 4.0 * s * (1.0 - s)
+    factored = (s - r) * (8.0 * r * s * s - 8.0 * r * s + r - 4.0 * s * s + (3.0 + shift) * s)
+    return (m * q - p) - factored
 
 
 def degenerate_edge_count(samples, k: int) -> int:

@@ -147,7 +147,9 @@ class TestFactorizationResidual:
             st.factorization_residual(0.1, 0.6)  # R >= 1/2
 
     def test_perturbation_hook_breaks_identity(self):
-        assert abs(st.factorization_residual(0.1, 0.3, coefficient_shift=1e-6)) > 1e-12
+        """The negative control's residual is the package's at shift 0, and breaks at 1e-6."""
+        assert oracles.factorization_residual_shifted(0.1, 0.3, 0.0) == st.factorization_residual(0.1, 0.3)
+        assert abs(oracles.factorization_residual_shifted(0.1, 0.3)) > 1e-12
 
 
 class TestPolarParams:

@@ -4,7 +4,7 @@ Every chain that `run_seeded` advances beside others must log exactly what
 the reference logs for it alone: every TrajectoryLog field is compared with
 `array_equal`, whatever the batch size, early stops, starts, block size or
 company of the chain, and whatever the number of threads its k-NN
-entropy windows are shared between.
+entropy windows run on.
 """
 
 import threading
@@ -97,7 +97,7 @@ def force_cpus(monkeypatch):
 
 
 class TestWindowThreads:
-    """A checkpoint's windows are shared between the calling thread and a pool of helpers."""
+    """A checkpoint's windows run on a pool of min(cpus, chains) threads that lives for one call."""
 
     @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
     def test_logs_do_not_depend_on_the_cpu_count(self, request, monkeypatch, force_cpus, case):
@@ -120,11 +120,8 @@ class TestWindowThreads:
             threads.clear()
             for got, ref in zip(st.run_seeded(ensemble, cfgs), want):
                 assert_logs_equal(got, ref)
-            assert threading.get_ident() in threads
-            if n == 1:
-                assert len(threads) == 1
-            else:
-                assert 2 <= len(threads) <= min(n, len(cfgs))
+            assert threading.get_ident() not in threads
+            assert min(n, 2) <= len(threads) <= min(n, len(cfgs))
 
     class WindowFailed(Exception):
         pass
@@ -178,26 +175,31 @@ class TestWindowThreads:
         assert len(windows) == len(UP_CHAINS) and len(set(windows)) > 1
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n, cfgs, pools", [
-        (1, UP_CHAINS, []),
-        (2, UP_CHAINS[:1], []),
-        (2, UP_CHAINS, [1]),
-        (5, UP_CHAINS, [3]),
-        (5, UP_CHAINS[:3], [2]),
+    @pytest.mark.parametrize("n, cfgs, size", [
+        (1, UP_CHAINS, 1),
+        (2, UP_CHAINS[:1], 1),
+        (2, UP_CHAINS, 2),
+        (5, UP_CHAINS, 4),
+        (5, UP_CHAINS[:3], 3),
     ], ids=["one-cpu", "one-chain", "two-cpus", "five-cpus", "five-cpus-three-chains"])
-    def test_pool_size(self, toy_up, monkeypatch, force_cpus, n, cfgs, pools):
-        """No pool with one CPU or one chain; otherwise min(cpus, chains) - 1 helpers."""
+    def test_pool_size(self, toy_up, monkeypatch, force_cpus, n, cfgs, size):
+        """One pool of min(cpus, chains) threads per call, shut down before the call returns."""
         force_cpus(n)
-        made = []
+        made, shut = [], []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 made.append(max_workers)
                 super().__init__(max_workers)
+                self.size = max_workers
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                shut.append(self.size)
 
         monkeypatch.setattr(sphere, "ThreadPoolExecutor", RecordingPool)
         st.run_seeded(toy_up, [replace(c, total_iters=300) for c in cfgs])
-        assert made == pools
+        assert made == shut == [size]
 
 
 class TestBlockSampling:
