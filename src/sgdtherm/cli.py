@@ -10,8 +10,6 @@ analyze         read an experiment directory, reduce it in memory to smoothed
                 free-energy curves, finite-difference temperature series and
                 phase-diagram power laws for non-stabilized runs, then write them;
                 it samples nothing, and takes the baseline from baseline.csv
-baseline        uniform-sphere loss/entropy reference values for the model,
-                written as the same baseline.csv that `run` writes
 verify-oracles  closed-form identity checks; nonzero exit on failure
 
 The config file is INI-style with one section per subsystem; `INI_SECTIONS`
@@ -427,8 +425,9 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
     call per group in a process pool, which is shut down before this
     returns, and puts the results back in grid order.  A chain's output does
     not depend on its group.  After the chains, the uniform-sphere baseline
-    is sampled once, as `sgdtherm baseline` samples it from the stored
-    config, and written to baseline.csv for `analyze`.  Everything is
+    is sampled once, one cloud per `baseline_seeds` seed, and written to
+    baseline.csv for `analyze`; this is the only writer of that file, so
+    replaying the stored config rewrites it byte for byte.  Everything is
     computed before the output directory is created, so a chain that raises
     leaves no directory behind.
     """
@@ -446,7 +445,10 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
                 results[g::workers] = rows
     else:
         results = _run_chains(cfg, range(n))
-    baseline_rows = _baseline_rows(cfg, cfg.ensemble())
+    ensemble = cfg.ensemble()
+    seeds = [cfg.lr_seed(10_000 + i) for i in range(cfg.baseline_seeds)]
+    baseline_rows = [(seed, *uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed))
+                     for seed in seeds]
 
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -473,26 +475,16 @@ def read_series(path: Path) -> dict[str, np.ndarray]:
             for name, vals in _read_csv(path, SERIES_COLUMNS).items()}
 
 
-def _baseline_rows(cfg: ExperimentConfig, ensemble) -> list[tuple[int, float, float]]:
-    """(seed, loss, entropy) of the uniform-sphere baseline, one row per baseline seed."""
-    seeds = [cfg.lr_seed(10_000 + i) for i in range(cfg.baseline_seeds)]
-    return [(seed, *uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed)) for seed in seeds]
-
-
 def read_baseline_entropies(exp: Path, cfg: ExperimentConfig) -> np.ndarray:
     """The S column of `exp`/baseline.csv: one finite entropy per `cfg.baseline_seeds`.
 
-    Any defect is MissingData, naming the file and the command that writes it.
+    Any defect is MissingData, naming the file.
     """
     path = exp / "baseline.csv"
-    rewrite = f"; write it with `sgdtherm baseline --config {exp / 'config.ini'} --out {exp}`"
-    try:
-        ents = np.array(_read_csv(path, ["S"])["S"], dtype=float)
-    except MissingData as exc:
-        raise MissingData(f"{exc}{rewrite}") from exc
+    ents = np.array(_read_csv(path, ["S"])["S"], dtype=float)
     if ents.size != cfg.baseline_seeds or not np.all(np.isfinite(ents)):
         raise MissingData(f"{path}: expected {cfg.baseline_seeds} finite S values "
-                          f"([analysis] baseline_seeds), got {ents.tolist()}{rewrite}")
+                          f"([analysis] baseline_seeds), got {ents.tolist()}")
     return ents
 
 
@@ -755,22 +747,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    rows = _baseline_rows(cfg, cfg.ensemble())
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "baseline.csv", BASELINE_COLUMNS, rows)
-    us = np.array([r[1] for r in rows])
-    ss = np.array([r[2] for r in rows])
-    print(f"uniform-sphere baseline over {len(rows)} seeds (n={cfg.window}, k={cfg.k}):")
-    print(f"  loss    {fmt(us.mean())} +- {fmt(us.std(ddof=1))}")
-    print(f"  entropy {fmt(ss.mean())} +- {fmt(ss.std(ddof=1))}")
-    return 0
-
-
 def _cmd_verify_oracles(args) -> int:
     checks = verify_oracles()
     width = max(len(c.name) for c in checks)
@@ -804,12 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--lr-range", default=None, help="retain only lo:hi learning rates")
     p_an.add_argument("--epsilon", type=float, default=None, help="free-energy slack override")
     p_an.set_defaults(func=_cmd_analyze)
-
-    p_base = sub.add_parser("baseline", help="uniform-sphere loss/entropy baseline")
-    p_base.add_argument("--config", required=True)
-    p_base.add_argument("--out", default=None)
-    p_base.add_argument("--seed", type=int, default=None)
-    p_base.set_defaults(func=_cmd_baseline)
 
     p_ver = sub.add_parser("verify-oracles", help="closed-form identity checks")
     p_ver.set_defaults(func=_cmd_verify_oracles)

@@ -21,9 +21,8 @@ code on the same data, whichever thread takes it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -230,7 +229,9 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     time.
 
     The active chains step as one (L, D) array, w <- (w - lr * g) / ||w - lr * g||
-    row by row; a result of (numerically) zero norm raises ZeroVector.  A
+    row by row, with numpy's overflow and invalid-value warnings off: a
+    diverging chain surfaces only as ZeroVector (a result of numerically zero
+    norm) or NonFinite (a non-finite logged loss or gradient).  A
     chain whose full-ensemble loss falls below `loss_stop_threshold` (when
     nonzero) stops and leaves the active rows.  The trailing `window` weights
     of the chains sit in one (L, window, D) ring buffer, the only entropy
@@ -240,9 +241,10 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
 
     A checkpoint's windows (and those of a loss-stop step) run on a thread
     pool of min(cpus, chains) threads, which start on the first window and
-    are joined before this returns or raises; a window that raises cancels
-    the windows still pending.  The logs do not depend on the number of
-    threads.
+    are joined before this returns or raises.  The calling thread waits once
+    for all of a checkpoint's windows, then reads them in order, so a window
+    that raises does so only after the others have finished.  The logs do not
+    depend on the number of threads.
     """
     cfgs = list(cfgs)
     inits = [None] * len(cfgs) if inits is None else list(inits)
@@ -274,7 +276,8 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     logs: list[TrajectoryLog | None] = [None] * len(cfgs)
 
     batch_grad, full_loss = ensemble.batch_grad, ensemble.full_loss
-    with ThreadPoolExecutor(min(_cpus(), len(cfgs))) as pool:
+    with ThreadPoolExecutor(min(_cpus(), len(cfgs))) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):
         t = 0
         while rows and t < cfg.total_iters:
             steps = min(_BLOCK_STEPS, cfg.total_iters - t)
@@ -306,10 +309,10 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
                     points[rows[r]].append(
                         (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
                 if t >= cfg.window:
-                    windows = pool.map(_window_entropy, [ring[r] for r in due],
-                                       repeat(t), repeat(cfg.k))
-                    for r, s in zip(due, windows):
-                        entropies[rows[r]].append((t, s))
+                    windows = [pool.submit(_window_entropy, ring[r], t, cfg.k) for r in due]
+                    wait(windows)  # one wake-up per checkpoint, not one per window
+                    for r, window in zip(due, windows):
+                        entropies[rows[r]].append((t, window.result()))
                 if stopping:
                     for r in np.flatnonzero(stop):
                         c = rows[r]

@@ -335,6 +335,44 @@ def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> Trajec
     )
 
 
+def circle_stationary_law(ensemble, lr: float, cells: int) -> tuple[float, float]:
+    """Exact stationary (U, S) of batch-1 projected SGD on a D = 2 hyperplane ensemble.
+
+    Ulam's method: on the circle the iterate is one angle, and each step
+    applies one of the M component maps, each with probability 1/M.  The
+    maps commute with w -> -w, so angles are folded to [0, pi), cut into
+    `cells` cells of width delta.  Each cell sends 8 evenly spaced points
+    through every map, and p <- bincount(dest, p[src]) / (M * 8) is
+    iterated from the uniform law until its L1 change is below 1e-14.
+    U is the full loss at the cell centres weighted by p, and
+    S = -sum p log(p / delta) is the entropy of the folded density.
+    """
+    normals, sub, max_iter = ensemble.normals, 8, 100_000
+    m = len(normals)
+    delta = math.pi / cells
+    theta = (np.arange(cells * sub) + 0.5) * (delta / sub)
+    w = np.column_stack((np.cos(theta), np.sin(theta)))
+    src = np.tile(np.repeat(np.arange(cells), sub), m)
+    dest = []
+    for normal in normals:
+        a = (w @ normal)[:, None]
+        v = w - lr * (a * normal - a * a * w)
+        angle = np.mod(np.arctan2(v[:, 1], v[:, 0]), math.pi)
+        dest.append(np.minimum((angle / delta).astype(np.int64), cells - 1))
+    dest = np.concatenate(dest)
+    p = np.full(cells, 1.0 / cells)
+    for _ in range(max_iter):
+        p, old = np.bincount(dest, weights=p[src], minlength=cells) / (m * sub), p
+        if np.abs(p - old).sum() < 1e-14:
+            break
+    else:
+        raise RuntimeError(f"no stationary law within {max_iter} iterations at lr {lr}")
+    centres = (np.arange(cells) + 0.5) * delta
+    loss = ((np.column_stack((np.cos(centres), np.sin(centres))) @ normals.T) ** 2).mean(axis=1) / 2
+    mass = p[p > 0]
+    return float(p @ loss), float(-(mass * np.log(mass / delta)).sum())
+
+
 def read_csv_reference(path, columns) -> dict[str, list]:
     """The named columns of a CSV file, one `csv.DictReader` row and one parse per cell.
 

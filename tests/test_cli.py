@@ -686,17 +686,16 @@ class TestMainEntryPoint:
         bad = tmp_path / "exp.ini"
         # Latin-1 bytes, so that "\xe9" is not valid UTF-8; the rest is ASCII.
         bad.write_bytes((TOY_OP_SMALL.replace(old, new, 1) if old else TOY_OP_SMALL).encode("latin-1"))
-        for command in ("run",) if "--jobs" in extra else ("run", "baseline"):
-            out = tmp_path / command
-            assert main([command, "--config", str(bad), "--out", str(out), *extra]) == 2
-            err = capsys.readouterr().err
-            assert "error:" in err
-            assert "Traceback" not in err
-            assert not out.exists()
-            if "components = 1" in new:
-                assert "[model]" in err
-            if new in SECTION_ERRORS:
-                assert SECTION_ERRORS[new] in err
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(bad), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        if "components = 1" in new:
+            assert "[model]" in err
+        if new in SECTION_ERRORS:
+            assert SECTION_ERRORS[new] in err
 
     @pytest.mark.parametrize("flags", [
         ["--epsilon", "nan"], ["--epsilon", "-1"], ["--epsilon", "inf"],
@@ -780,8 +779,6 @@ class TestMainEntryPoint:
         assert str(path) in err
         assert message in err
         assert "Traceback" not in err
-        if pattern == "baseline.csv":
-            assert f"sgdtherm baseline --config {exp / 'config.ini'} --out {exp}" in err
         assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
 
     def test_analyze_samples_no_baseline(self, tmp_path, monkeypatch, small_experiment):
@@ -804,31 +801,51 @@ class TestMainEntryPoint:
         assert sorted(p.name for p in exp.iterdir()) == sorted(p.name for p in small_experiment.iterdir())
 
     @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]], ids=["config-seed", "seed-flag"])
-    def test_run_baseline_matches_baseline_command(self, tmp_path, seed_flag):
-        """`run` writes the baseline.csv that `baseline` writes from the stored config."""
+    def test_run_writes_the_baseline_of_its_stored_config(self, tmp_path, seed_flag):
+        """baseline.csv holds one uniform-sphere cloud per baseline seed of the stored config."""
+
+        def baseline_bytes(cfg, name):
+            ensemble = cfg.ensemble()
+            seeds = [cfg.lr_seed(10_000 + i) for i in range(cfg.baseline_seeds)]
+            rows = [(seed, *st.uniform_sphere_baseline(ensemble, cfg.window, cfg.k, seed))
+                    for seed in seeds]
+            cli._write_csv(tmp_path / name, ["seed", "U", "S"], rows)
+            return (tmp_path / name).read_bytes()
+
         path = write_config(tmp_path, TOY_OP_SMALL)
         exp = tmp_path / "exp"
         assert main(["run", "--config", str(path), "--out", str(exp), *seed_flag]) == 0
-        assert main(["baseline", "--config", str(exp / "config.ini"), "--out", str(tmp_path / "base")]) == 0
         run_bytes = (exp / "baseline.csv").read_bytes()
-        assert run_bytes == (tmp_path / "base" / "baseline.csv").read_bytes()
+        assert run_bytes == baseline_bytes(load_config(exp / "config.ini"), "stored.csv")
         assert len(run_bytes.splitlines()) == 5  # header and 4 seeds
         if seed_flag:
-            assert main(["baseline", "--config", str(path), "--out", str(tmp_path / "unseeded")]) == 0
-            assert run_bytes != (tmp_path / "unseeded" / "baseline.csv").read_bytes()
+            assert run_bytes != baseline_bytes(load_config(path), "unseeded.csv")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_diverging_lr_exits_2(self, tmp_path, capsys, jobs):
-        """lr 1e200 sends the weights to zero norm; the run fails as an error, not a traceback."""
+    def test_diverging_lr_exits_2(self, tmp_path, capfd, jobs):
+        """lr 1e200 sends the weights to zero norm; the run fails as one error line, with no
+        traceback or numpy warning.  `capfd` also sees what a `--jobs 2` worker writes."""
         path = write_config(tmp_path, TOY_OP_SMALL.replace("lrs = 4.8e-3, 1.1e-2, 2.3e-2",
                                                            "lrs = 4.8e-3, 1e200"))
         out = tmp_path / "exp"
-        with np.errstate(over="ignore"):
-            assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
-        err = capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 2
+        err = capfd.readouterr().err
         assert err.startswith("error: the simulation diverged:")
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
+
+    def test_baseline_command_is_gone(self, tmp_path, capsys):
+        """`run` alone writes baseline.csv; `baseline` is an invalid choice of argparse."""
+        path = write_config(tmp_path, TOY_OP_SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--config", str(path), "--out", str(tmp_path / "base")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'baseline'" in capsys.readouterr().err
+        assert not (tmp_path / "base").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,analyze,verify-oracles}" in capsys.readouterr().out
 
     def test_missing_experiment_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2
@@ -837,13 +854,6 @@ class TestMainEntryPoint:
         assert main(["verify-oracles"]) == 0
         out = capsys.readouterr().out
         assert "factorization-identity" in out and "pass" in out
-
-    def test_baseline_writes_csv(self, tmp_path, capsys):
-        path = write_config(tmp_path, TOY_OP_SMALL)
-        assert main(["baseline", "--config", str(path), "--out", str(tmp_path / "base")]) == 0
-        lines = (tmp_path / "base" / "baseline.csv").read_text().splitlines()
-        assert lines[0] == "seed,U,S"
-        assert len(lines) == 5  # 4 seeds configured
 
     def test_lr_range_flag(self, tmp_path):
         path = write_config(tmp_path, UP_SMALL)
