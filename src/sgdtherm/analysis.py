@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import knn_entropy
-from .errors import (
-    DegenerateX,
-    EmptyInput,
-    InvalidConfig,
-    NonPositiveInput,
-    SeriesTooShort,
-    TooFewSamples,
-)
+from .errors import InvalidConfig, TooFewSamples
 from .sphere import TrajectoryLog
 
 
@@ -87,13 +80,13 @@ def kernel_smooth_triangular(log_xs, ys, h: float = 0.3) -> np.ndarray:
     log_xs = np.asarray(log_xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if log_xs.size == 0:
-        raise EmptyInput("no points to smooth")
+        raise InvalidConfig("no points to smooth")
     if log_xs.shape != ys.shape:
         raise InvalidConfig("log_xs and ys must have equal length")
     if log_xs.size > 1 and not np.all(np.diff(log_xs) > 0):
         raise InvalidConfig("log_xs must be strictly increasing")
-    if h <= 0:
-        raise InvalidConfig("h must be positive")
+    if not 0 < h < math.inf:
+        raise InvalidConfig("h must be finite and positive")
     weights = np.maximum(h - np.abs(log_xs[:, None] - log_xs[None, :]), 0.0)
     out = weights @ ys / weights.sum(axis=1)
     out[0] = ys[0]
@@ -106,15 +99,15 @@ def kernel_smooth_gaussian_logtime(ts, ys, sigma: float) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ts.size == 0:
-        raise EmptyInput("no points to smooth")
+        raise InvalidConfig("no points to smooth")
     if ts.shape != ys.shape:
         raise InvalidConfig("ts and ys must have equal length")
     if np.any(ts <= 0):
         raise InvalidConfig("ts must be positive")
     if ts.size > 1 and not np.all(np.diff(ts) > 0):
         raise InvalidConfig("ts must be strictly increasing")
-    if sigma <= 0:
-        raise InvalidConfig("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise InvalidConfig("sigma must be finite and positive")
     log_t = np.log(ts)
     weights = np.exp(-((log_t[:, None] - log_t[None, :]) ** 2) / (2.0 * sigma * sigma))
     return weights @ ys / weights.sum(axis=1)
@@ -129,7 +122,9 @@ def extract_stationary(
     The tail is the last `tail_fraction` of executed iterations.  The run is
     flagged stabilized when the two halves of the tail agree: relative loss
     difference below 5% and entropy difference within one window-level
-    standard deviation (the dispersion of the tail's window estimates).
+    standard deviation (the dispersion of the tail's window estimates).  A
+    tail holding a collapsed (-inf) window has entropy mean -inf, no entropy
+    dispersion (NaN) and is not stabilized; its loss statistics are as usual.
     """
     if not 0.0 < tail_fraction <= 0.5:
         raise InvalidConfig("tail_fraction must lie in (0, 0.5]")
@@ -153,13 +148,14 @@ def extract_stationary(
 
     loss_mean = float(tail_losses.mean())
     loss_std = float(tail_losses.std(ddof=1))
-    ent_mean = float(tail_ents.mean())
-    ent_std = float(tail_ents.std(ddof=1))
+    collapsed = np.isneginf(tail_ents).any()
+    ent_mean = -math.inf if collapsed else float(tail_ents.mean())
+    ent_std = math.nan if collapsed else float(tail_ents.std(ddof=1))
 
     first, second = tail_iters <= mid, tail_iters > mid
     efirst, esecond = tail_ent_iters <= mid, tail_ent_iters > mid
     stabilized = False
-    if first.any() and second.any() and efirst.any() and esecond.any():
+    if not collapsed and first.any() and second.any() and efirst.any() and esecond.any():
         l1 = tail_losses[first].mean()
         l2 = tail_losses[second].mean()
         loss_ok = abs(l1 - l2) < 0.05 * max(abs(l2), 1e-300)
@@ -266,7 +262,7 @@ def finite_difference_temperature(
         raise InvalidConfig("dt must be >= 1")
     n = u.size
     if n <= 2 * dt:
-        raise SeriesTooShort(f"need more than {2 * dt} points, got {n}")
+        raise InvalidConfig(f"need more than {2 * dt} points, got {n}")
     idx = np.arange(dt, n - dt)
     du = u[idx + dt] - u[idx - dt]
     ds = s[idx + dt] - s[idx - dt]
@@ -278,7 +274,7 @@ def finite_difference_temperature(
 def free_energy_curve(estimates, temperature: float) -> tuple[np.ndarray, int]:
     """F(lr) = loss(lr) - T * entropy(lr) and its argmin (ties -> smaller lr)."""
     if len(estimates) == 0:
-        raise EmptyInput("no estimates")
+        raise InvalidConfig("no estimates")
     if temperature < 0:
         raise InvalidConfig("temperature must be >= 0")
     f = np.array([e.loss_mean - temperature * e.entropy_mean for e in estimates])
@@ -294,12 +290,12 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     if xs.size < 3:
         raise TooFewSamples(f"need >= 3 points, got {xs.size}")
     if np.any(xs <= 0) or np.any(ys <= 0):
-        raise NonPositiveInput("power-law fit requires strictly positive coordinates")
+        raise InvalidConfig("power-law fit requires strictly positive coordinates")
     lx = np.log(xs)
     ly = np.log(ys)
     var_x = float(((lx - lx.mean()) ** 2).sum())
     if var_x == 0.0:
-        raise DegenerateX("all x values coincide")
+        raise InvalidConfig("all x values coincide")
     slope = float(((lx - lx.mean()) * (ly - ly.mean())).sum()) / var_x
     intercept = float(ly.mean() - slope * lx.mean())
     resid = ly - (intercept + slope * lx)
@@ -323,8 +319,6 @@ def uniform_sphere_baseline(
     altogether; stationary tails are compared against it to detect
     saturation.  Deterministic given the seed.
     """
-    if n_samples <= k:
-        raise TooFewSamples(f"need n_samples > k={k}")
     rng = np.random.default_rng(seed)
     samples = uniform_sphere_samples(ensemble.dim, n_samples, rng)
     return float(ensemble.full_loss(samples).mean()), knn_entropy(samples, k)

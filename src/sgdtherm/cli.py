@@ -167,8 +167,8 @@ class ExperimentConfig:
             raise InvalidConfig("[analysis] epsilon must be finite and >= 0")
         if not 0.0 < self.tail_fraction <= 0.5:
             raise InvalidConfig("[analysis] tail_fraction must lie in (0, 0.5]")
-        if not (self.smoothing_h > 0 and self.smoothing_sigma > 0):
-            raise InvalidConfig("[analysis] smoothing_h and smoothing_sigma must be positive")
+        if not (0 < self.smoothing_h < math.inf and 0 < self.smoothing_sigma < math.inf):
+            raise InvalidConfig("[analysis] smoothing_h and smoothing_sigma must be finite and positive")
         if self.fd_dt < 1:
             raise InvalidConfig("[analysis] fd_dt must be >= 1")
         if self.baseline_seeds < 2:

@@ -19,14 +19,14 @@ import math
 
 import numpy as np
 
-from .errors import DegeneratePoint, DimensionMismatch, DomainViolation
+from .errors import DegeneratePoint, InvalidConfig
 
 _DENOM_FLOOR = 1e-14
 
 
 def _check_half_angle(half_angle: float) -> None:
     if not 0.0 < half_angle < math.pi / 4:
-        raise DomainViolation(f"half_angle must lie strictly inside (0, pi/4), got {half_angle}")
+        raise InvalidConfig(f"half_angle must lie strictly inside (0, pi/4), got {half_angle}")
 
 
 def two_circle_snr_sq(x: float, y: float, half_angle: float) -> float:
@@ -56,7 +56,7 @@ def central_meridian_snr(radial: float, half_angle: float) -> float:
     """
     _check_half_angle(half_angle)
     if not 0.0 <= radial <= 1.0:
-        raise DomainViolation("radial must lie in [0, 1]")
+        raise InvalidConfig("radial must lie in [0, 1]")
     return math.sqrt(1.0 - radial * radial) * math.tan(half_angle)
 
 
@@ -71,9 +71,9 @@ def hessian_ensemble_snr(hessians: np.ndarray, direction: np.ndarray) -> float |
     hessians = np.asarray(hessians, dtype=float)
     r = np.asarray(direction, dtype=float)
     if hessians.ndim != 3 or hessians.shape[1] != hessians.shape[2]:
-        raise DimensionMismatch("hessians must have shape (M, D, D)")
+        raise InvalidConfig("hessians must have shape (M, D, D)")
     if r.shape != (hessians.shape[1],):
-        raise DimensionMismatch("direction dimension must match the Hessians")
+        raise InvalidConfig("direction dimension must match the Hessians")
     hr = hessians @ r  # (M, D)
     mean_hr = hr.mean(axis=0)
     mean_sq = float(np.einsum("md,md->", hr, hr) / hr.shape[0])
@@ -99,7 +99,7 @@ def factorization_residual(sin_sq_azimuth: float, sin_sq_half_angle: float) -> f
     s = float(sin_sq_azimuth)
     r = float(sin_sq_half_angle)
     if not (0.0 <= s <= r < 0.5):
-        raise DomainViolation(f"need 0 <= S <= R < 1/2, got S={s}, R={r}")
+        raise InvalidConfig(f"need 0 <= S <= R < 1/2, got S={s}, R={r}")
     m = s * (1.0 - r) ** 2 + (1.0 - s) * r * r
     p = (s * (1.0 - r) + (1.0 - s) * r) ** 2
     q = 4.0 * s * (1.0 - s)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, ZeroVector
+from .errors import InvalidConfig, ZeroVector
 
 _UNIT_TOL = 1e-12
 
@@ -145,7 +145,7 @@ class QuadraticEnsemble:
         self.hessians = np.asarray(self.hessians, dtype=float)
         d = self.optimum.shape[0]
         if self.hessians.ndim != 3 or self.hessians.shape[1:] != (d, d):
-            raise DimensionMismatch("hessians must have shape (M, D, D) matching the optimum")
+            raise InvalidConfig("hessians must have shape (M, D, D) matching the optimum")
         if not np.allclose(self.hessians, np.swapaxes(self.hessians, 1, 2), atol=1e-12):
             raise InvalidConfig("component Hessians must be symmetric within 1e-12")
 

@@ -5,7 +5,9 @@ total edge length of the directed k-NN graph over N samples in R^D (each
 point contributes the distances to its k nearest neighbors).  The value is
 defined up to an additive constant that does not depend on the sampled
 distribution, which is all the downstream temperature analysis needs: only
-entropy differences enter there.
+entropy differences enter there.  A sample whose points all coincide has
+L_k = 0 and the estimate -inf, the entropy of a point mass: the window of a
+chain that has settled on a single point.
 
 Neighbor search is exact brute force.  Pairwise squared distances are
 computed on mean-centered samples c as one matrix product: the rows
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFinite, NonPositiveEdgeLength, TooFewSamples
+from .errors import InvalidConfig, NonFinite, TooFewSamples
 
 # 32 rows of N = 1000 doubles are 256 KB, so a tile stays in L2, and a
 # 32 x (D + 2) x 1000 product with D < 16 is below the size at which
@@ -85,14 +87,14 @@ def knn_entropy(samples, k: int, dim: int | None = None) -> float:
     """Entropy estimate D * (log L_k - ((D-1)/D) * log N), up to an additive constant.
 
     Scaling all samples by c > 0 shifts the estimate by exactly D * log c;
-    translations and rotations leave it unchanged.  Raises
-    NonPositiveEdgeLength when every sample coincides (L_k = 0).
+    translations and rotations leave it unchanged.  A sample whose points all
+    coincide (L_k = 0) gives -inf, the entropy of a point mass.
     """
     x = _as_sample_matrix(samples)
     n = x.shape[0]
     d = x.shape[1] if dim is None else dim
     total = knn_total_edge_length(x, k)
-    if total <= 0.0:
-        raise NonPositiveEdgeLength("all samples identical: entropy estimate is -inf")
+    if total == 0.0:
+        return -np.inf
     return float(d * np.log(total) - (d - 1) * np.log(n))
 

@@ -1,12 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one for each way a caller handles an error.
+
+`ZeroVector` and `NonFinite` (a diverged simulation) and `InvalidConfig` and
+`MissingData` (bad input) exit 2 in `cli.main`; `TooFewSamples` leaves a run
+without a stationary estimate in `cli._run_chains`; `DegeneratePoint` skips
+an oracle point in `cli.verify_oracles`.  Any other argument outside its
+domain raises `InvalidConfig`.
+"""
 
 
 class ZeroVector(ValueError):
     """A vector that must be normalized has (numerically) zero norm."""
-
-
-class BatchTooLarge(ValueError):
-    """Requested batch size exceeds the ensemble size."""
 
 
 class NonFinite(ArithmeticError):
@@ -17,40 +20,12 @@ class TooFewSamples(ValueError):
     """Not enough samples for the requested estimate."""
 
 
-class NonPositiveEdgeLength(ArithmeticError):
-    """Total k-NN edge length is zero (all samples identical)."""
-
-
-class EmptyInput(ValueError):
-    """An operation received an empty series."""
-
-
-class SeriesTooShort(ValueError):
-    """Series too short for the requested finite-difference stencil."""
-
-
-class NonPositiveInput(ValueError):
-    """Power-law fitting requires strictly positive coordinates."""
-
-
-class DegenerateX(ValueError):
-    """All x values coincide; the fit slope is undetermined."""
-
-
 class DegeneratePoint(ArithmeticError):
     """Closed-form expression evaluated where its denominator vanishes."""
 
 
-class DimensionMismatch(ValueError):
-    """Operands do not share the required dimension."""
-
-
-class DomainViolation(ValueError):
-    """Argument outside the stated domain of a closed-form expression."""
-
-
 class InvalidConfig(ValueError):
-    """Experiment configuration failed validation."""
+    """A configuration value or function argument outside its domain."""
 
 
 class MissingData(RuntimeError):

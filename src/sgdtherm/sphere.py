@@ -27,14 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy import knn_entropy
-from .errors import (
-    BatchTooLarge,
-    DimensionMismatch,
-    InvalidConfig,
-    NonFinite,
-    NonPositiveEdgeLength,
-    ZeroVector,
-)
+from .errors import InvalidConfig, NonFinite, ZeroVector
 from .gradients import gradient_stats
 
 # Below this norm a vector is treated as numerically collapsed.
@@ -48,12 +41,12 @@ _BLOCK_STEPS = 64
 def project_to_sphere(v: np.ndarray) -> np.ndarray:
     """Return v / ||v||.  Idempotent on unit vectors.
 
-    Raises ZeroVector when the norm underflows and DimensionMismatch for
+    Raises ZeroVector when the norm underflows and InvalidConfig for
     vectors with fewer than 2 components.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 2:
-        raise DimensionMismatch(f"expected a vector of dimension >= 2, got shape {v.shape}")
+        raise InvalidConfig(f"expected a vector of dimension >= 2, got shape {v.shape}")
     norm = np.sqrt(v @ v)  # the same dot kernel as the simulation step, bit for bit
     if norm < _NORM_FLOOR:
         raise ZeroVector("cannot project a (numerically) zero vector onto the sphere")
@@ -77,7 +70,7 @@ def sample_batch(ensemble_size: int, batch_size: int, rng: np.random.Generator,
     nothing.
     """
     if batch_size > ensemble_size:
-        raise BatchTooLarge(f"batch_size {batch_size} > ensemble size {ensemble_size}")
+        raise InvalidConfig(f"batch_size {batch_size} > ensemble size {ensemble_size}")
     if batch_size < 1:
         raise InvalidConfig("batch_size must be >= 1")
     if batch_size == ensemble_size:
@@ -183,14 +176,6 @@ def _ring_window(ring_row: np.ndarray, t: int) -> np.ndarray:
     return np.roll(ring_row[:t], -t, axis=0)
 
 
-def _window_entropy(ring_row: np.ndarray, t: int, k: int) -> float:
-    """k-NN entropy of a ring row's window after step t; -inf for a collapsed window."""
-    try:
-        return knn_entropy(_ring_window(ring_row, t), k)
-    except NonPositiveEdgeLength:
-        return -np.inf  # collapsed (delta-like) window
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -236,12 +221,15 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     nonzero) stops and leaves the active rows.  The trailing `window` weights
     of the chains sit in one (L, window, D) ring buffer, the only entropy
     window: at every checkpoint with a full ring, a chain's window is put in
-    chronological order and its k-NN entropy logged at that iteration, and
-    the window at the final iteration is returned as `snapshots`.
+    chronological order and its k-NN entropy logged at that iteration (-inf
+    for a window collapsed to one point), and the window at the final
+    iteration is returned as `snapshots`.
 
     A checkpoint's windows (and those of a loss-stop step) run on a thread
     pool of min(cpus, chains) threads, which start on the first window and
-    are joined before this returns or raises.  The calling thread waits once
+    are joined before this returns or raises.  The calling thread makes each
+    window's chronological copy before it submits the window, so the pool
+    threads read only their own copies, never the ring.  It then waits once
     for all of a checkpoint's windows, then reads them in order, so a window
     that raises does so only after the others have finished.  The logs do not
     depend on the number of threads.
@@ -249,7 +237,7 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     cfgs = list(cfgs)
     inits = [None] * len(cfgs) if inits is None else list(inits)
     if len(inits) != len(cfgs):
-        raise DimensionMismatch(f"{len(inits)} inits for {len(cfgs)} chains")
+        raise InvalidConfig(f"{len(inits)} inits for {len(cfgs)} chains")
     if len({replace(c, learning_rate=1.0, seed=0) for c in cfgs}) > 1:
         raise InvalidConfig("chains run together may differ only in learning_rate and seed")
     if not cfgs:
@@ -262,7 +250,7 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     for i, (rng, init) in enumerate(zip(rngs, inits)):
         start = random_unit_vector(dim, rng) if init is None else np.asarray(init, dtype=float)
         if start.shape != (dim,):
-            raise DimensionMismatch(f"init has shape {start.shape}, ensemble dimension is {dim}")
+            raise InvalidConfig(f"init has shape {start.shape}, ensemble dimension is {dim}")
         w[i] = project_to_sphere(start)
 
     schedule = checkpoint_schedule(cfg.total_iters, cfg.checkpoints_per_decade).tolist()
@@ -309,7 +297,7 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
                     points[rows[r]].append(
                         (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
                 if t >= cfg.window:
-                    windows = [pool.submit(_window_entropy, ring[r], t, cfg.k) for r in due]
+                    windows = [pool.submit(knn_entropy, _ring_window(ring[r], t), cfg.k) for r in due]
                     wait(windows)  # one wake-up per checkpoint, not one per window
                     for r, window in zip(due, windows):
                         entropies[rows[r]].append((t, window.result()))

@@ -24,15 +24,7 @@ from sgdtherm import (
     random_unit_vector,
     two_circle_snr_sq,
 )
-from sgdtherm.errors import (
-    BatchTooLarge,
-    DimensionMismatch,
-    DomainViolation,
-    MissingData,
-    NonFinite,
-    NonPositiveEdgeLength,
-    ZeroVector,
-)
+from sgdtherm.errors import InvalidConfig, MissingData, NonFinite, ZeroVector
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
@@ -108,7 +100,7 @@ def snr_two_component(g1: np.ndarray, g2: np.ndarray) -> float | None:
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape:
-        raise DimensionMismatch(f"shapes {g1.shape} and {g2.shape} differ")
+        raise InvalidConfig(f"shapes {g1.shape} and {g2.shape} differ")
     denom = float(np.linalg.norm(g1 - g2))
     if denom == 0.0:
         return None
@@ -130,13 +122,13 @@ class PolarParams:
 
     def __post_init__(self):
         if not 0.0 < self.half_angle < math.pi / 4:
-            raise DomainViolation(
+            raise InvalidConfig(
                 f"half_angle must lie strictly inside (0, pi/4), got {self.half_angle}"
             )
         if not 0.0 < self.radial <= 1.0:
-            raise DomainViolation("radial must lie in (0, 1]")
+            raise InvalidConfig("radial must lie in (0, 1]")
         if abs(self.azimuth) > self.half_angle:
-            raise DomainViolation("azimuth must lie in [-half_angle, half_angle]")
+            raise InvalidConfig("azimuth must lie in [-half_angle, half_angle]")
 
     def to_xy(self) -> tuple[float, float]:
         return (
@@ -160,7 +152,7 @@ def factorization_residual_shifted(sin_sq_azimuth: float, sin_sq_half_angle: flo
     """
     s, r = float(sin_sq_azimuth), float(sin_sq_half_angle)
     if not 0.0 <= s <= r < 0.5:
-        raise DomainViolation(f"need 0 <= S <= R < 1/2, got S={s}, R={r}")
+        raise InvalidConfig(f"need 0 <= S <= R < 1/2, got S={s}, R={r}")
     m = s * (1.0 - r) ** 2 + (1.0 - s) * r * r
     p = (s * (1.0 - r) + (1.0 - s) * r) ** 2
     q = 4.0 * s * (1.0 - s)
@@ -259,11 +251,11 @@ def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> Trajec
     rng = np.random.default_rng(cfg.seed)
     w = random_unit_vector(ensemble.dim, rng) if init is None else np.asarray(init, dtype=float)
     if w.shape != (ensemble.dim,):
-        raise DimensionMismatch(
+        raise InvalidConfig(
             f"init has shape {w.shape}, ensemble dimension is {ensemble.dim}"
         )
     if cfg.batch_size > len(ensemble):
-        raise BatchTooLarge(
+        raise InvalidConfig(
             f"batch_size {cfg.batch_size} > ensemble size {len(ensemble)}"
         )
     w = project_to_sphere(w)
@@ -294,12 +286,8 @@ def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> Trajec
         s_norms.append(stats.mean_stoch_norm)
         snrs.append(stats.snr_or_nan)
         if len(ring) == cfg.window:
-            try:
-                s = knn_entropy(np.asarray(ring), cfg.k)
-            except NonPositiveEdgeLength:
-                s = -np.inf  # collapsed (delta-like) window
             ent_iters.append(t)
-            ent_vals.append(s)
+            ent_vals.append(knn_entropy(np.asarray(ring), cfg.k))
 
     for t in range(1, cfg.total_iters + 1):
         idx = sample_batch_one_step(m, cfg.batch_size, rng)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 import sgdtherm as st
-from sgdtherm.errors import (
-    DegenerateX,
-    EmptyInput,
-    NonPositiveInput,
-    SeriesTooShort,
-    TooFewSamples,
-)
+from sgdtherm.errors import InvalidConfig, TooFewSamples
 
 
 def make_estimates(losses, entropies, lrs=None, stabilized=True):
@@ -53,7 +47,7 @@ class TestTriangularSmoothing:
         np.testing.assert_allclose(direct, composed, atol=1e-12)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidConfig, match="no points to smooth"):
             st.kernel_smooth_triangular([], [])
 
 
@@ -111,6 +105,16 @@ class TestExtractStationary:
         est = st.extract_stationary(up_run_low)
         assert est.stabilized
         assert est.loss_mean > 0.015  # near the UP floor of ~0.0192
+
+    def test_collapsed_tail_window(self):
+        """A -inf window in the tail gives S = -inf, no S dispersion and no stability verdict."""
+        log = self._constant_log()
+        log.entropies[-3] = -np.inf
+        est = st.extract_stationary(log)
+        assert est.entropy_mean == -np.inf
+        assert math.isnan(est.entropy_std)
+        assert not est.stabilized
+        assert (est.loss_mean, est.loss_std) == (0.75, 0.0)
 
     def test_tail_fraction_validated(self, up_run_low):
         with pytest.raises(Exception):
@@ -222,7 +226,7 @@ class TestFiniteDifferenceTemperature:
         assert np.all(np.isnan(t))
 
     def test_series_too_short(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(InvalidConfig, match="need more than 4 points, got 4"):
             st.finite_difference_temperature([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], dt=2)
 
 
@@ -289,9 +293,9 @@ class TestFitPowerLaw:
         assert abs(base.exponent - scaled.exponent) < 1e-10
 
     def test_errors(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(InvalidConfig, match="strictly positive coordinates"):
             st.fit_power_law([1.0, -2.0, 3.0], [1.0, 1.0, 1.0])
-        with pytest.raises(DegenerateX):
+        with pytest.raises(InvalidConfig, match="all x values coincide"):
             st.fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(TooFewSamples):
             st.fit_power_law([1.0, 2.0], [1.0, 2.0])
@@ -315,6 +319,10 @@ class TestUniformSphereBaseline:
         u, s = st.uniform_sphere_baseline(toy_op, 10_000, k=50, seed=9)
         assert abs(u - 1 / 6) < 0.005
         assert math.isfinite(s)
+
+    def test_cloud_not_above_k_rejected(self, toy_op):
+        with pytest.raises(TooFewSamples, match="need more than k=50 samples, got 50"):
+            st.uniform_sphere_baseline(toy_op, 50, k=50, seed=0)
 
     def test_deterministic(self, toy_op):
         a = st.uniform_sphere_baseline(toy_op, 2000, k=50, seed=4)

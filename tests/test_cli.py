@@ -93,6 +93,28 @@ dir = out
 """
 
 
+# toy_op at learning rates where the chains settle on a pole within the run:
+# the tail windows at lr 0.5 and 0.8 hold one point 60 times, so S = -inf.
+COLLAPSING_OP = """\
+[model]
+kind = toy_op
+
+[grid]
+lrs = 0.3, 0.5, 0.8
+
+[sgd]
+total_iters = 3000
+seed = 11
+
+[entropy]
+k = 5
+window = 60
+
+[analysis]
+baseline_seeds = 2
+"""
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -416,6 +438,24 @@ class TestRunGrid:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
+    def test_collapsed_windows_run_quietly(self, tmp_path, capfd):
+        """Collapsed windows are reported as S = -inf without a numpy warning, at any --jobs.
+
+        Each run writes to the same path, because report.txt names it.
+        """
+        config = write_config(tmp_path, COLLAPSING_OP)
+        exp = tmp_path / "exp"
+        trees = []
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(config), "--out", str(exp), "--jobs", jobs]) == 0
+            assert main(["analyze", str(exp)]) == 0
+            assert capfd.readouterr().err == ""
+            trees.append({p.name: p.read_bytes() for p in sorted(exp.iterdir())})
+            shutil.rmtree(exp)
+        assert trees[0] == trees[1]
+        rows = trees[0]["summary.csv"].decode().splitlines()[2:]
+        assert [row.split(",")[3:] for row in rows] == [["-inf", "nan", "false"]] * 2
+
     @pytest.mark.parametrize("n_lrs, jobs, workers, groups", [
         (3, 2, [2], [[0, 2], [1]]),
         (3, 3, [3], [[0], [1], [2]]),
@@ -625,6 +665,10 @@ SECTION_ERRORS = {
     "loss_stop_threshold = inf": "[sgd] loss_stop_threshold must be finite and >= 0",
     "k = 0": "[entropy] k must be >= 1",
     "window = 20": "[entropy] window must exceed k",
+    "epsilon = 0.01\nsmoothing_h = inf":
+        "[analysis] smoothing_h and smoothing_sigma must be finite and positive",
+    "epsilon = 0.01\nsmoothing_sigma = inf":
+        "[analysis] smoothing_h and smoothing_sigma must be finite and positive",
 }
 
 
@@ -666,6 +710,8 @@ class TestMainEntryPoint:
         ("[model]\n", "", []),
         ("dir = out", "dir = out\xe9", []),
         ("epsilon = 0.01", "epsilon = 0.01\nsmoothing_h = 0", []),
+        ("epsilon = 0.01", "epsilon = 0.01\nsmoothing_h = inf", []),
+        ("epsilon = 0.01", "epsilon = 0.01\nsmoothing_sigma = inf", []),
         ("epsilon = 0.01", "epsilon = 0.01\nfd_dt = 0", []),
         ("total_iters = 4000", "total_iters = 300", []),
         ("checkpoints_per_decade = 20", "checkpoints_per_decade = 1", []),
@@ -680,7 +726,8 @@ class TestMainEntryPoint:
             "tail-fraction-above-half", "zero-tail-fraction",
             "nan-epsilon", "negative-epsilon", "nan-lr-range",
             "duplicate-section", "duplicate-option", "missing-section-header", "not-utf8",
-            "zero-smoothing-h", "zero-fd-dt", "unfillable-window", "one-tail-checkpoint",
+            "zero-smoothing-h", "inf-smoothing-h", "inf-smoothing-sigma", "zero-fd-dt",
+            "unfillable-window", "one-tail-checkpoint",
             "zero-jobs", "negative-jobs", "one-component", "loss-stop-nan", "loss-stop-inf"])
     def test_invalid_config_exits_2(self, tmp_path, capsys, old, new, extra):
         bad = tmp_path / "exp.ini"

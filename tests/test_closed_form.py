@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm.errors import DegeneratePoint, DimensionMismatch, DomainViolation
+from sgdtherm.errors import DegeneratePoint, InvalidConfig
 
 
 class TestTwoCircleSnrSq:
@@ -24,7 +24,7 @@ class TestTwoCircleSnrSq:
             st.two_circle_snr_sq(0.0, 0.0, math.pi / 6)
 
     def test_half_angle_domain(self):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidConfig, match="half_angle must lie strictly inside"):
             st.two_circle_snr_sq(0.1, 0.2, math.pi / 4)
 
     def test_matches_measured_snr_on_random_sphere_points(self, toy_op):
@@ -122,7 +122,7 @@ class TestHessianEnsembleSnr:
                 assert abs(stats.snr - closed) < 1e-10
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="direction dimension must match"):
             st.hessian_ensemble_snr(np.zeros((2, 3, 3)), np.zeros(4))
 
 
@@ -141,9 +141,9 @@ class TestFactorizationResidual:
         assert worst < 1e-12
 
     def test_domain_enforced(self):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidConfig, match="need 0 <= S <= R < 1/2"):
             st.factorization_residual(0.4, 0.3)  # S > R
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidConfig, match="need 0 <= S <= R < 1/2"):
             st.factorization_residual(0.1, 0.6)  # R >= 1/2
 
     def test_perturbation_hook_breaks_identity(self):
@@ -154,11 +154,11 @@ class TestFactorizationResidual:
 
 class TestPolarParams:
     def test_domain_validation(self):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidConfig, match="half_angle must lie strictly inside"):
             oracles.PolarParams(half_angle=math.pi / 3, radial=0.5, azimuth=0.0)
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidConfig, match="radial must lie in"):
             oracles.PolarParams(half_angle=math.pi / 6, radial=0.0, azimuth=0.0)
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidConfig, match="azimuth must lie in"):
             oracles.PolarParams(half_angle=math.pi / 6, radial=0.5, azimuth=1.0)
 
     def test_xy_conversion(self):

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm.errors import DimensionMismatch
+from sgdtherm.errors import InvalidConfig
 
 
 class TestGradientStats:
@@ -74,7 +74,7 @@ class TestSnrTwoComponent:
             assert abs(two - full) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match=r"shapes \(2,\) and \(3,\) differ"):
             oracles.snr_two_component(np.zeros(2), np.zeros(3))
 
 

@@ -17,7 +17,7 @@ import pytest
 import oracles
 import sgdtherm as st
 from sgdtherm import sphere
-from sgdtherm.errors import DimensionMismatch, InvalidConfig, NonFinite
+from sgdtherm.errors import InvalidConfig, NonFinite
 
 
 def assert_logs_equal(got, want):
@@ -220,7 +220,7 @@ class TestChainSet:
             st.run_seeded(toy_up, [UP_CHAINS[0], replace(UP_CHAINS[1], window=300)])
 
     def test_one_init_per_chain(self, toy_up):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="1 inits for 2 chains"):
             st.run_seeded(toy_up, UP_CHAINS[:2], [None])
 
     def test_no_chains(self, toy_up):

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm.errors import BatchTooLarge, DimensionMismatch, InvalidConfig, ZeroVector
+from sgdtherm.errors import InvalidConfig, ZeroVector
 
 
 class TestProjectToSphere:
@@ -28,7 +28,7 @@ class TestProjectToSphere:
             st.project_to_sphere(np.zeros(3))
 
     def test_dimension_floor(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="expected a vector of dimension >= 2"):
             st.project_to_sphere(np.array([2.0]))
 
 
@@ -71,7 +71,7 @@ class TestSampleBatch:
         assert len(set(singles1)) == 1  # same seed, same draw
 
     def test_batch_too_large(self):
-        with pytest.raises(BatchTooLarge):
+        with pytest.raises(InvalidConfig, match="batch_size 4 > ensemble size 3"):
             st.sample_batch(3, 4, np.random.default_rng(0), 1)
 
     def test_indices_distinct(self):
@@ -196,12 +196,12 @@ class TestRunTrajectory:
 
     def test_batch_larger_than_ensemble_rejected(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0, batch_size=5)
-        with pytest.raises(BatchTooLarge):
+        with pytest.raises(InvalidConfig, match="batch_size 5 > ensemble size 2"):
             st.run_seeded(toy_op, [cfg])
 
     def test_init_of_wrong_length_rejected(self, toy_op):
         cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match=r"init has shape \(2,\), ensemble dimension is 3"):
             st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 1.0])])
 
     def test_non_unit_init_is_projected(self, toy_op):
