@@ -76,6 +76,7 @@ def kernel_smooth_triangular(log_xs, ys, h: float = 0.3) -> np.ndarray:
 
     Weight of x_j at x_i is max(h - |log_x_i - log_x_j|, 0); the first and
     last outputs are pinned to the raw inputs to avoid boundary artifacts.
+    An h so large that the weighted sums overflow raises InvalidConfig.
     """
     log_xs = np.asarray(log_xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -88,14 +89,27 @@ def kernel_smooth_triangular(log_xs, ys, h: float = 0.3) -> np.ndarray:
     if not 0 < h < math.inf:
         raise InvalidConfig("h must be finite and positive")
     weights = np.maximum(h - np.abs(log_xs[:, None] - log_xs[None, :]), 0.0)
-    out = weights @ ys / weights.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _normalized_smooth(weights, ys, "h", h)
     out[0] = ys[0]
     out[-1] = ys[-1]
     return out
 
 
+def _normalized_smooth(weights, ys, name: str, bandwidth: float) -> np.ndarray:
+    """`weights` @ `ys` over row sums, under the caller's np.errstate; InvalidConfig if not finite."""
+    norm = weights.sum(axis=1)
+    out = weights @ ys / norm
+    if not (np.isfinite(norm).all() and np.isfinite(out).all()):
+        raise InvalidConfig(f"smoothing bandwidth {name} = {bandwidth:g} gives non-finite smoothed values")
+    return out
+
+
 def kernel_smooth_gaussian_logtime(ts, ys, sigma: float) -> np.ndarray:
-    """Gaussian-kernel smoothing in log-time: weight exp(-(log t_i - log t_j)^2 / 2 sigma^2)."""
+    """Gaussian-kernel smoothing in log-time: weight exp(-(log t_i - log t_j)^2 / 2 sigma^2).
+
+    A sigma whose 2 sigma^2 underflows to 0 raises InvalidConfig.
+    """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ts.size == 0:
@@ -109,8 +123,9 @@ def kernel_smooth_gaussian_logtime(ts, ys, sigma: float) -> np.ndarray:
     if not 0 < sigma < math.inf:
         raise InvalidConfig("sigma must be finite and positive")
     log_t = np.log(ts)
-    weights = np.exp(-((log_t[:, None] - log_t[None, :]) ** 2) / (2.0 * sigma * sigma))
-    return weights @ ys / weights.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = np.exp(-((log_t[:, None] - log_t[None, :]) ** 2) / (2.0 * sigma * sigma))
+        return _normalized_smooth(weights, ys, "sigma", sigma)
 
 
 def extract_stationary(
@@ -165,7 +180,7 @@ def extract_stationary(
         stabilized = bool(loss_ok and ent_ok)
 
     return StationaryEstimate(
-        lr=log.config.learning_rate,
+        lr=log.learning_rate,
         loss_mean=loss_mean,
         entropy_mean=ent_mean,
         loss_std=loss_std,
@@ -195,7 +210,7 @@ def estimate_temperature_interval(
     if epsilon < 0:
         raise InvalidConfig("epsilon must be >= 0")
     if not 0 <= target_index < len(estimates):
-        raise IndexError(f"target_index {target_index} out of range")
+        raise InvalidConfig(f"target_index {target_index} out of range")
     tgt = estimates[target_index]
     t_lo, t_hi = 0.0, math.inf
     feasible = True
@@ -311,7 +326,7 @@ def uniform_sphere_samples(dim: int, n: int, rng: np.random.Generator) -> np.nda
 
 
 def uniform_sphere_baseline(
-    ensemble, n_samples: int, k: int = 50, seed: int = 0
+    ensemble, n_samples: int, k: int, seed: int = 0
 ) -> tuple[float, float]:
     """Mean full loss and k-NN entropy of a uniform cloud on the ensemble's sphere.
 

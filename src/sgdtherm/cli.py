@@ -104,7 +104,7 @@ MODEL_KINDS = ("toy_op", "toy_up", "hyperplane")
 
 # The INI file: each [section] with the ExperimentConfig fields it holds, in
 # file order, and the keys that differ from their field names.  Defaults live
-# only in ExperimentConfig.
+# only in ExperimentConfig, which takes those of the engine from SgdConfig.
 INI_SECTIONS = {
     "model": ("model", "dim", "components", "model_seed"),
     "grid": ("lr_grid",),
@@ -129,13 +129,13 @@ class ExperimentConfig:
     components: int = 2
     model_seed: int = 7
     lr_grid: tuple[float, ...] = tuple(DEFAULT_LR_GRID)
-    batch_size: int = 1
-    total_iters: int = 50_000
+    batch_size: int = SgdConfig.batch_size
+    total_iters: int = SgdConfig.total_iters
     seed: int = 1234
-    checkpoints_per_decade: int = 20
-    loss_stop_threshold: float = 0.0
-    k: int = 50
-    window: int = 1000
+    checkpoints_per_decade: int = SgdConfig.checkpoints_per_decade
+    loss_stop_threshold: float = SgdConfig.loss_stop_threshold
+    k: int = SgdConfig.k
+    window: int = SgdConfig.window
     epsilon: float = 1e-2
     tail_fraction: float = 0.5
     smoothing_h: float = 0.3
@@ -150,10 +150,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"[model] kind must be one of {MODEL_KINDS}, got {self.model!r}")
         if len(self.lr_grid) == 0:
             raise InvalidConfig("[grid] lrs must not be empty")
-        if not all(math.isfinite(lr) for lr in self.lr_grid):
-            raise InvalidConfig("[grid] lrs must all be finite")
-        if any(lr <= 0 for lr in self.lr_grid):
-            raise InvalidConfig("[grid] lrs must all be positive")
+        if not all(0 < lr < math.inf for lr in self.lr_grid):
+            raise InvalidConfig("[grid] lrs must all be finite and positive")
         if any(b <= a for a, b in zip(self.lr_grid, self.lr_grid[1:])):
             raise InvalidConfig("[grid] lrs must be strictly increasing")
         if self.model == "hyperplane" and (self.dim < 2 or self.components < 2):
@@ -181,12 +179,10 @@ class ExperimentConfig:
         # before a bad config is rejected.  Each SgdConfig message starts
         # with the field it rejects, which is named here by its INI key.
         try:
-            self.chain_config(0)
+            self.sgd_config()
         except InvalidConfig as exc:
             name, _, rest = str(exc).partition(" ")
-            section = next((sec for sec, names in INI_SECTIONS.items() if name in names), None)
-            if section is None:
-                raise
+            section = next(sec for sec, names in INI_SECTIONS.items() if name in names)
             raise InvalidConfig(f"[{section}] {INI_KEYS.get(name, name)} {rest}") from exc
         size = len(self.ensemble())
         if self.batch_size > size:
@@ -206,18 +202,9 @@ class ExperimentConfig:
             return make_toy_up()
         return random_hyperplane_ensemble(self.dim, self.components, self.model_seed)
 
-    def chain_config(self, index: int) -> SgdConfig:
-        """The chain of grid point `index`: its learning rate and seed, and the shared settings."""
-        return SgdConfig(
-            learning_rate=self.lr_grid[index],
-            batch_size=self.batch_size,
-            total_iters=self.total_iters,
-            seed=self.lr_seed(index),
-            checkpoints_per_decade=self.checkpoints_per_decade,
-            loss_stop_threshold=self.loss_stop_threshold,
-            k=self.k,
-            window=self.window,
-        )
+    def sgd_config(self) -> SgdConfig:
+        """The settings every chain of the grid shares."""
+        return SgdConfig(**{f.name: getattr(self, f.name) for f in fields(SgdConfig)})
 
     def lr_seed(self, index: int) -> int:
         """Deterministic per-learning-rate seed derived from the root seed."""
@@ -297,7 +284,8 @@ def series_filename(index: int, lr: float) -> str:
 def _run_chains(cfg: ExperimentConfig, indices: range):
     """Simulate the grid points `indices` in one lockstep engine call; (log, estimate-or-None) each."""
     results = []
-    for log in run_seeded(cfg.ensemble(), [cfg.chain_config(i) for i in indices]):
+    lrs, seeds = [cfg.lr_grid[i] for i in indices], [cfg.lr_seed(i) for i in indices]
+    for log in run_seeded(cfg.ensemble(), cfg.sgd_config(), lrs, seeds):
         try:
             est = extract_stationary(log, tail_fraction=cfg.tail_fraction)
         except TooFewSamples:
@@ -508,7 +496,10 @@ def reduce_experiment(cfg: ExperimentConfig, estimates: list[StationaryEstimate]
     base_s, base_s_std = float(base_ents.mean()), float(base_ents.std(ddof=1))
 
     kept_idx, exclusions = select_stationary_range(usable, base_s, base_s_std, cfg.lr_range)
-    exclusions += [(e.lr, "no stationary estimate") for e in estimates if e not in usable]
+    # A finite U with S = -inf is a run that settled on one point: zero temperature.
+    collapsed = [math.isfinite(e.loss_mean) and e.entropy_mean == -math.inf for e in estimates]
+    exclusions += [(e.lr, "collapsed to a point (S = -inf)" if c else "no stationary estimate")
+                   for e, c in zip(estimates, collapsed) if e not in usable]
     retained = [usable[i] for i in kept_idx]
 
     report_lines = [f"epsilon: {fmt(cfg.epsilon)}"]

@@ -7,10 +7,10 @@ rule.  Metrics (full loss, gradient norms, SNR, and a trailing-window
 entropy estimate) are logged at iterations spaced uniformly in log scale,
 plus iteration 1 and the final iteration.
 
-`run_seeded` advances a set of chains that share every setting but the
-learning rate and the seed as one (L, D) array.  Each row gets the same
-BLAS kernels on the same shapes as a chain run alone, so a chain's log does
-not depend on which chains run beside it.
+`run_seeded` advances the chains of a grid, which share one SgdConfig and
+each own a learning rate and a seed, as one (L, D) array.  Each row gets the
+same BLAS kernels on the same shapes as a chain run alone, so a chain's log
+does not depend on which chains run beside it.
 
 The k-NN entropy windows of the chains are independent and take most of a
 run's time, so a checkpoint's windows run on a pool of one thread per CPU
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,16 +83,14 @@ def sample_batch(ensemble_size: int, batch_size: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Everything that defines one fixed-learning-rate chain.
+    """The settings every chain of a grid shares; each chain owns its learning rate and seed.
 
     The k-NN entropy is read over the trailing `window` iterates with `k`
     neighbors, at each checkpoint once that many have been taken.
     """
 
-    learning_rate: float
     batch_size: int = 1
     total_iters: int = 50_000
-    seed: int = 0
     checkpoints_per_decade: int = 20
     loss_stop_threshold: float = 0.0  # 0 disables early stopping
     k: int = 50
@@ -101,8 +99,6 @@ class SgdConfig:
     def __post_init__(self):
         # Each message starts with the field's name: ExperimentConfig turns
         # it into the `[section] key` of the INI file.
-        if not 0 < self.learning_rate < np.inf:
-            raise InvalidConfig("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1")
         if self.total_iters < 1:
@@ -111,8 +107,6 @@ class SgdConfig:
             raise InvalidConfig("checkpoints_per_decade must be >= 1")
         if not 0 <= self.loss_stop_threshold < np.inf:
             raise InvalidConfig("loss_stop_threshold must be finite and >= 0")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be unsigned")
         if self.k < 1:
             raise InvalidConfig("k must be >= 1")
         if self.window <= self.k:
@@ -136,15 +130,14 @@ def checkpoint_schedule(total_iters: int, per_decade: int) -> np.ndarray:
 class TrajectoryLog:
     """Per-checkpoint metrics plus the last entropy window of the run.
 
-    `config` is the chain's SgdConfig, its window and k included.
-    `entropies[j]` is the k-NN entropy of the trailing `config.window`
-    iterates at checkpoint `entropy_iters[j]`; checkpoints before the window
-    has filled have no entropy.  `snapshots` holds the trailing iterates (at
-    most `config.window`) at the final iteration, so its last row is
-    iteration `final_iter`.  `snrs` holds NaN where the SNR is undefined (zero
-    gradient variance); `entropies` holds -inf where a window collapsed to
-    identical points.  Checkpoint iterations are strictly increasing and
-    include the final executed iteration.
+    `learning_rate` is the chain's own.  `entropies[j]` is the k-NN entropy
+    of the trailing `window` iterates at checkpoint `entropy_iters[j]`;
+    checkpoints before the window has filled have no entropy.  `snapshots`
+    holds the trailing iterates (at most `window`) at the final iteration,
+    so its last row is iteration `final_iter`.  `snrs` holds NaN where the
+    SNR is undefined (zero gradient variance); `entropies` holds -inf where a
+    window collapsed to identical points.  Checkpoint iterations are
+    strictly increasing and include the final executed iteration.
     """
 
     iters: np.ndarray
@@ -156,7 +149,7 @@ class TrajectoryLog:
     entropies: np.ndarray
     snapshots: np.ndarray
     stopped_early: bool
-    config: SgdConfig
+    learning_rate: float
 
     @property
     def final_iter(self) -> int:
@@ -183,7 +176,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _trajectory_log(cfg: SgdConfig, points: list[tuple], entropies: list[tuple],
+def _trajectory_log(lr: float, points: list[tuple], entropies: list[tuple],
                     snapshots: np.ndarray, stopped: bool) -> TrajectoryLog:
     """One chain's log from its checkpoint rows (t, loss, |g|, mean |g_i|, snr) and (t, entropy) pairs."""
     iters, losses, g_norms, s_norms, snrs = zip(*points)
@@ -198,16 +191,18 @@ def _trajectory_log(cfg: SgdConfig, points: list[tuple], entropies: list[tuple],
         entropies=np.asarray(ent_vals, dtype=float),
         snapshots=snapshots,
         stopped_early=stopped,
-        config=cfg,
+        learning_rate=lr,
     )
 
 
-def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
-    """Run projected SGD chains on a hyperplane ensemble in lockstep; one log per config, in order.
+def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[TrajectoryLog]:
+    """Run projected SGD chains on a hyperplane ensemble in lockstep; one log per chain, in order.
 
-    The chains may differ only in `learning_rate` and `seed` (anything else
-    raises InvalidConfig), and each one's log is bit for bit what it is when
-    the chain runs alone.  Without an init, a chain's uniform-sphere start is
+    Chain i has learning rate `lrs[i]`, seed `seeds[i]` and (if given) start
+    `inits[i]`; every other setting comes from `cfg`.  Sequences of unequal
+    length, a non-finite or non-positive learning rate and a negative seed
+    raise InvalidConfig.  Each chain's log is bit for bit what it is when the
+    chain runs alone.  Without an init, a chain's uniform-sphere start is
     drawn from its seed and batch sampling continues on the same stream; a
     given init is projected, and batches come from a fresh generator seeded
     with the seed.  Each chain draws its batches `_BLOCK_STEPS` steps at a
@@ -234,19 +229,20 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     that raises does so only after the others have finished.  The logs do not
     depend on the number of threads.
     """
-    cfgs = list(cfgs)
-    inits = [None] * len(cfgs) if inits is None else list(inits)
-    if len(inits) != len(cfgs):
-        raise InvalidConfig(f"{len(inits)} inits for {len(cfgs)} chains")
-    if len({replace(c, learning_rate=1.0, seed=0) for c in cfgs}) > 1:
-        raise InvalidConfig("chains run together may differ only in learning_rate and seed")
-    if not cfgs:
+    lrs, seeds = list(lrs), list(seeds)
+    inits = [None] * len(lrs) if inits is None else list(inits)
+    if not len(lrs) == len(seeds) == len(inits):
+        raise InvalidConfig(f"unequal counts: {len(lrs)} lrs, {len(seeds)} seeds, {len(inits)} inits")
+    if not all(0 < lr < np.inf for lr in lrs):
+        raise InvalidConfig("learning rates must be finite and positive")
+    if any(seed < 0 for seed in seeds):
+        raise InvalidConfig("seeds must be >= 0")
+    if not lrs:
         return []
-    cfg = cfgs[0]
     m, dim = len(ensemble), ensemble.dim
 
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    w = np.empty((len(cfgs), dim))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.empty((len(lrs), dim))
     for i, (rng, init) in enumerate(zip(rngs, inits)):
         start = random_unit_vector(dim, rng) if init is None else np.asarray(init, dtype=float)
         if start.shape != (dim,):
@@ -256,15 +252,15 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
     schedule = checkpoint_schedule(cfg.total_iters, cfg.checkpoints_per_decade).tolist()
     next_cp = 0
     threshold = cfg.loss_stop_threshold
-    rows = list(range(len(cfgs)))  # the chain of each active row
-    lr = np.array([[c.learning_rate] for c in cfgs])
-    ring = np.empty((len(cfgs), cfg.window, dim))
-    points: list[list[tuple]] = [[] for _ in cfgs]
-    entropies: list[list[tuple]] = [[] for _ in cfgs]
-    logs: list[TrajectoryLog | None] = [None] * len(cfgs)
+    rows = list(range(len(lrs)))  # the chain of each active row
+    lr = np.array([[rate] for rate in lrs])
+    ring = np.empty((len(lrs), cfg.window, dim))
+    points: list[list[tuple]] = [[] for _ in lrs]
+    entropies: list[list[tuple]] = [[] for _ in lrs]
+    ends: list[tuple | None] = [None] * len(lrs)  # each chain's (final window, stopped early)
 
     batch_grad, full_loss = ensemble.batch_grad, ensemble.full_loss
-    with ThreadPoolExecutor(min(_cpus(), len(cfgs))) as pool, \
+    with ThreadPoolExecutor(min(_cpus(), len(lrs))) as pool, \
             np.errstate(over="ignore", invalid="ignore"):
         t = 0
         while rows and t < cfg.total_iters:
@@ -282,14 +278,13 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
                 at_checkpoint = t == schedule[next_cp]
                 if at_checkpoint:
                     next_cp += 1
-                loss = full_loss(w) if threshold > 0 else None
-                stop = None if loss is None else loss < threshold
-                stopping = stop is not None and stop.any()
-                if not (at_checkpoint or stopping):
+                elif threshold == 0:
                     continue
-                if loss is None:
-                    loss = full_loss(w)
+                loss = full_loss(w)
+                stop = loss < threshold  # never true at threshold 0, as no loss is negative
                 due = list(range(len(rows))) if at_checkpoint else np.flatnonzero(stop).tolist()
+                if not due:
+                    continue
                 for r in due:
                     stats = gradient_stats(ensemble, w[r])
                     if not (np.isfinite(loss[r]) and np.isfinite(stats.full_grad_norm)):
@@ -301,17 +296,14 @@ def run_seeded(ensemble, cfgs, inits=None) -> list[TrajectoryLog]:
                     wait(windows)  # one wake-up per checkpoint, not one per window
                     for r, window in zip(due, windows):
                         entropies[rows[r]].append((t, window.result()))
-                if stopping:
+                if stop.any():
                     for r in np.flatnonzero(stop):
-                        c = rows[r]
-                        logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c],
-                                                  _ring_window(ring[r], t), stopped=True)
+                        ends[rows[r]] = (_ring_window(ring[r], t), True)
                     keep = ~stop
                     w, lr, ring, batches = w[keep], lr[keep], ring[keep], batches[keep]
                     rows = [c for c, k in zip(rows, keep) if k]
                     if not rows:
                         break
     for r, c in enumerate(rows):
-        logs[c] = _trajectory_log(cfgs[c], points[c], entropies[c], _ring_window(ring[r], t),
-                                  stopped=False)
-    return logs
+        ends[c] = (_ring_window(ring[r], t), False)
+    return [_trajectory_log(lr_c, points[c], entropies[c], *ends[c]) for c, lr_c in enumerate(lrs)]

@@ -241,14 +241,16 @@ def full_loss_one_chain(normals: np.ndarray, w: np.ndarray) -> float:
     return float((a @ a) / (2.0 * sq * a.size))
 
 
-def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> TrajectoryLog:
+def run_chain_reference(ensemble, cfg, lr: float, seed: int,
+                        init: np.ndarray | None = None) -> TrajectoryLog:
     """One chain stepped on its own, one draw and one 1-D update per step.
 
-    The reference for `run_seeded`, which must give every chain this log
-    field for field: the same start, batches, steps, checkpoints, entropy
-    windows, early stop and snapshots.
+    The reference for `run_seeded(ensemble, cfg, lrs, seeds, inits)`, which
+    must give the chain of `lr`, `seed` and `init` this log field for field:
+    the same start, batches, steps, checkpoints, entropy windows, early stop
+    and snapshots.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     w = random_unit_vector(ensemble.dim, rng) if init is None else np.asarray(init, dtype=float)
     if w.shape != (ensemble.dim,):
         raise InvalidConfig(
@@ -272,7 +274,6 @@ def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> Trajec
 
     check_loss = cfg.loss_stop_threshold > 0
     m = len(ensemble)
-    lr = cfg.learning_rate
     normals = ensemble.normals
 
     def log_checkpoint(t: int) -> None:
@@ -319,7 +320,7 @@ def run_chain_reference(ensemble, cfg, init: np.ndarray | None = None) -> Trajec
         entropies=np.asarray(ent_vals, dtype=float),
         snapshots=np.asarray(ring),
         stopped_early=stopped,
-        config=cfg,
+        learning_rate=lr,
     )
 
 

@@ -35,11 +35,11 @@ def hyperplane_grid_results():
     """Criterion 8 experiment: 12 learning rates on the D=10, M=30 ensemble."""
     ens = st.random_hyperplane_ensemble(10, 30, seed=7)
     lrs = np.geomspace(0.02, 20.0, 12)
-    cfgs = [st.SgdConfig(learning_rate=float(lr), batch_size=8, total_iters=200_000,
-                         seed=int(np.random.SeedSequence([4242, i]).generate_state(1, np.uint64)[0]),
-                         checkpoints_per_decade=40)
-            for i, lr in enumerate(lrs)]
-    estimates = [st.extract_stationary(log) for log in st.run_seeded(ens, cfgs)]
+    cfg = st.SgdConfig(batch_size=8, total_iters=200_000, checkpoints_per_decade=40)
+    seeds = [int(np.random.SeedSequence([4242, i]).generate_state(1, np.uint64)[0])
+             for i in range(lrs.size)]
+    logs = st.run_seeded(ens, cfg, [float(lr) for lr in lrs], seeds)
+    estimates = [st.extract_stationary(log) for log in logs]
     baselines = [st.uniform_sphere_baseline(ens, 1000, 50, seed=9000 + i) for i in range(8)]
     return ens, estimates, np.asarray(baselines)
 
@@ -48,9 +48,8 @@ def hyperplane_grid_results():
 def saturation_run():
     """Criterion 9 experiment: chaotic regime on a circle ensemble (D=2, M=100)."""
     ens = st.random_hyperplane_ensemble(2, 100, seed=7)
-    cfg = st.SgdConfig(learning_rate=1.0, batch_size=1, total_iters=80_000, seed=12,
-                       k=50, window=500)
-    [log] = st.run_seeded(ens, [cfg])
+    cfg = st.SgdConfig(batch_size=1, total_iters=80_000, k=50, window=500)
+    [log] = st.run_seeded(ens, cfg, [1.0], [12])
     est = st.extract_stationary(log)
     baselines = [st.uniform_sphere_baseline(ens, 500, 50, seed=1000 + i) for i in range(10)]
     return ens, est, np.asarray(baselines)
@@ -316,8 +315,8 @@ class TestCriterion10IntervalExactness:
 
 class TestCriterion11Determinism:
     def test_trajectory_rerun_bit_identical(self, toy_up):
-        cfg = st.SgdConfig(learning_rate=2.4e-3, total_iters=5000, seed=3)
-        a, b = st.run_seeded(toy_up, [cfg])[0], st.run_seeded(toy_up, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=5000)
+        a, b = (st.run_seeded(toy_up, cfg, [2.4e-3], [3])[0] for _ in range(2))
         ok = (
             np.array_equal(a.losses, b.losses)
             and np.array_equal(a.snapshots, b.snapshots)

@@ -50,6 +50,14 @@ class TestTriangularSmoothing:
         with pytest.raises(InvalidConfig, match="no points to smooth"):
             st.kernel_smooth_triangular([], [])
 
+    def test_overflowing_bandwidth_rejected(self):
+        """At h = 1e308 the weight sums overflow: a U-like series would smooth to 0, an
+        S-like one to NaN.  Both raise, without a numpy warning."""
+        xs = np.log(np.geomspace(1e-2, 0.5, 5))
+        for ys in ([0.02, 0.019, 0.018, 0.02, 0.021], [-3.0, -2.5, -2.0, -1.5, -1.0]):
+            with pytest.raises(InvalidConfig, match=r"bandwidth h = 1e\+308 gives non-finite"):
+                st.kernel_smooth_triangular(xs, ys, h=1e308)
+
 
 class TestGaussianLogTimeSmoothing:
     def test_constant_and_single(self):
@@ -64,6 +72,17 @@ class TestGaussianLogTimeSmoothing:
         """Symmetric log-spacing, ys=(0,1,0): middle strictly between 1/3 and 1."""
         out = st.kernel_smooth_gaussian_logtime([10, 100, 1000], [0.0, 1.0, 0.0], 0.4)
         assert 1 / 3 < out[1] < 1.0
+
+    def test_underflowing_bandwidth_rejected(self):
+        """At sigma = 1e-200, 2 sigma^2 underflows to 0 and every weight is 0/0 or x/0."""
+        with pytest.raises(InvalidConfig, match=r"bandwidth sigma = 1e-200 gives non-finite"):
+            st.kernel_smooth_gaussian_logtime([1, 10, 100], [0.5, 0.25, 0.125], 1e-200)
+
+    def test_subnormal_bandwidth_smooths_to_the_identity(self):
+        """At sigma = 1e-160, 2 sigma^2 is subnormal but nonzero: each point keeps only itself."""
+        ys = [0.5, -0.25, 0.125, 4.0]
+        np.testing.assert_array_equal(
+            st.kernel_smooth_gaussian_logtime([1, 10, 100, 1000], ys, 1e-160), ys)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(2)
@@ -88,7 +107,7 @@ class TestExtractStationary:
             entropies=np.full(k, -3.0),
             snapshots=np.zeros((10, 3)),
             stopped_early=False,
-            config=st.SgdConfig(learning_rate=0.01, total_iters=total, seed=0),
+            learning_rate=0.01,
         )
 
     def test_constant_series(self):
@@ -140,6 +159,12 @@ class TestTemperatureInterval:
         for target in (0, 1):
             iv = st.estimate_temperature_interval(ests, target, 0.0)
             assert iv.t_lo == 0.0 and iv.t_hi == math.inf and not iv.empty
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_target_index_out_of_range_rejected(self, target):
+        ests = make_estimates([1.0, 2.0, 3.0], [-10.0, -5.0, -2.0])
+        with pytest.raises(InvalidConfig, match=f"target_index {target} out of range"):
+            st.estimate_temperature_interval(ests, target, 0.0)
 
     def test_nonconvex_point_yields_empty(self):
         ests = make_estimates([0.0, 5.0, 2.0], [0.0, 1.0, 2.0])

@@ -47,9 +47,9 @@ def test_chains_match_the_exact_loss(lr, iters):
 
     It is also far from the U of every other lr, so the test can tell them apart.
     """
-    cfgs = [st.SgdConfig(learning_rate=lr, total_iters=iters, seed=i, checkpoints_per_decade=1,
-                         k=5, window=60) for i in range(512)]
-    losses = np.array([log.final_loss for log in st.run_seeded(ENSEMBLE, cfgs)])
+    cfg = st.SgdConfig(total_iters=iters, checkpoints_per_decade=1, k=5, window=60)
+    logs = st.run_seeded(ENSEMBLE, cfg, [lr] * 512, range(512))
+    losses = np.array([log.final_loss for log in logs])
     stderr = losses.std(ddof=1) / np.sqrt(losses.size)
     z = {other: (losses.mean() - exact(other, 2**13)[0]) / stderr for other in TABLE}
     assert abs(z[lr]) < Z_TOLERANCE

@@ -203,8 +203,9 @@ class TestConfigParsing:
         except InvalidConfig:
             return
         cfg.ensemble()
+        cfg.sgd_config()
         for i in range(len(cfg.lr_grid)):
-            cfg.chain_config(i)
+            cfg.lr_seed(i)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -228,8 +229,9 @@ class TestConfigParsing:
         largest = int(st.checkpoint_schedule(total_iters, per_decade)[-2])
         base = dict(model="toy_up", lr_grid=(0.05,), total_iters=total_iters,
                     checkpoints_per_decade=per_decade, tail_fraction=tail_fraction, k=5)
-        chain = ExperimentConfig(window=largest, **base).chain_config(0)
-        logs = {w: st.run_seeded(st.make_toy_up(), [replace(chain, window=w)])[0]
+        exp = ExperimentConfig(window=largest, **base)
+        logs = {w: st.run_seeded(st.make_toy_up(), replace(exp.sgd_config(), window=w),
+                                 exp.lr_grid, [exp.lr_seed(0)])[0]
                 for w in (largest, largest + 1)}
         st.extract_stationary(logs[largest], tail_fraction=tail_fraction)
         with pytest.raises(TooFewSamples):
@@ -301,7 +303,7 @@ class TestCsvRoundTrip:
             entropies=np.array([-math.inf, -2.75]),
             snapshots=np.zeros((5, 3)),
             stopped_early=False,
-            config=st.SgdConfig(learning_rate=0.01, total_iters=10),
+            learning_rate=0.01,
         )
         write_series(tmp_path / "series.csv", log)
         got = read_series(tmp_path / "series.csv")
@@ -455,6 +457,18 @@ class TestRunGrid:
         assert trees[0] == trees[1]
         rows = trees[0]["summary.csv"].decode().splitlines()[2:]
         assert [row.split(",")[3:] for row in rows] == [["-inf", "nan", "false"]] * 2
+        excluded = [line for line in trees[0]["report.txt"].decode().splitlines()
+                    if line.startswith("excluded")]
+        assert excluded == ["excluded lr=0.29999999999999999: not stabilized",
+                            "excluded lr=0.5: collapsed to a point (S = -inf)",
+                            "excluded lr=0.80000000000000004: collapsed to a point (S = -inf)"]
+        # A row without an estimate (NaN U, as write_summary writes it) keeps its own reason.
+        nan = math.nan
+        estimates = [st.StationaryEstimate(0.3, nan, nan, nan, nan, False),
+                     st.StationaryEstimate(0.5, 0.0, -math.inf, 0.0, nan, False)]
+        _, _, report = reduce_experiment(load_config(config), estimates, {}, np.array([1.0, 2.0]))
+        assert report[1:3] == ["excluded lr=0.29999999999999999: no stationary estimate",
+                               "excluded lr=0.5: collapsed to a point (S = -inf)"]
 
     @pytest.mark.parametrize("n_lrs, jobs, workers, groups", [
         (3, 2, [2], [[0, 2], [1]]),
@@ -497,10 +511,10 @@ class TestRunGrid:
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))
         real = cli.run_seeded
 
-        def fail_on_second_lr(ensemble, sgds):
-            if any(sgd.learning_rate == cfg.lr_grid[1] for sgd in sgds):
+        def fail_on_second_lr(ensemble, sgd, lrs, seeds):
+            if cfg.lr_grid[1] in lrs:
                 raise NonFinite("injected")
-            return real(ensemble, sgds)
+            return real(ensemble, sgd, lrs, seeds)
 
         monkeypatch.setattr(cli, "run_seeded", fail_on_second_lr)
         with pytest.raises(NonFinite):
@@ -743,6 +757,27 @@ class TestMainEntryPoint:
             assert "[model]" in err
         if new in SECTION_ERRORS:
             assert SECTION_ERRORS[new] in err
+
+    @pytest.mark.parametrize("text, line", [
+        (UP_SMALL, "smoothing_h = 1e308"), (TOY_OP_SMALL, "smoothing_sigma = 1e-200"),
+    ], ids=["overflowing-smoothing-h", "underflowing-smoothing-sigma"])
+    def test_extreme_smoothing_bandwidth_exits_2(self, tmp_path, capfd, text, line):
+        """A finite bandwidth at which a kernel smoother's weights overflow (UP_SMALL retains
+        5 lrs) or underflow (TOY_OP_SMALL's runs get finite-difference series) passes the
+        config check, then fails `analyze` as one error line, with no numpy warning: no report
+        directory is created and the experiment's files stay as they were."""
+        exp = run_grid(load_config(write_config(tmp_path, text)), out_dir=tmp_path / "exp")
+        key = line.split(" = ")[0]
+        config = exp / "config.ini"
+        config.write_text(re.sub(rf"^{key} = .*$", line, config.read_text(), flags=re.M))
+        before = {p.name: p.read_bytes() for p in exp.iterdir()}
+        out = tmp_path / "report"
+        assert main(["analyze", str(exp), "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: smoothing bandwidth ") and err.count("\n") == 1
+        assert "non-finite smoothed values" in err
+        assert not out.exists()
+        assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
 
     @pytest.mark.parametrize("flags", [
         ["--epsilon", "nan"], ["--epsilon", "-1"], ["--epsilon", "inf"],

@@ -176,15 +176,15 @@ class TestSlidingWindowEntropy:
 
     def test_exactly_one_window_at_boundary(self, toy_up):
         """A run exactly one window long logs one entropy, at its final iteration."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=100, seed=6, k=5, window=100)
-        log = st.run_seeded(toy_up, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=100, k=5, window=100)
+        log = st.run_seeded(toy_up, cfg, [0.05], [6])[0]
         assert log.entropy_iters.tolist() == [100]
         assert log.entropies.shape == (1,)
 
     def test_too_few_snapshots(self, toy_up):
         """A run shorter than the window never fills it and logs no entropy."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=19, seed=6, k=2, window=20)
-        log = st.run_seeded(toy_up, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=19, k=2, window=20)
+        log = st.run_seeded(toy_up, cfg, [0.05], [6])[0]
         assert log.iters[-1] == 19
         assert log.entropy_iters.size == 0 and log.entropies.size == 0
 
@@ -204,9 +204,8 @@ class TestSlidingWindowEntropy:
 
     def test_converging_trajectory_entropy_decreases(self, toy_op):
         """Once the loss is deep in the basin, successive window entropies fall."""
-        cfg = st.SgdConfig(learning_rate=4.8e-3, total_iters=50_000, seed=3,
-                           loss_stop_threshold=1e-16, k=50, window=1000)
-        log = st.run_seeded(toy_op, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=50_000, loss_stop_threshold=1e-16, k=50, window=1000)
+        log = st.run_seeded(toy_op, cfg, [4.8e-3], [3])[0]
         anchors, values = log.entropy_iters, log.entropies
         assert values.size >= 5
         assert np.all(np.isfinite(values[-5:]))
@@ -234,18 +233,17 @@ class TestEngineWindows:
     @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
     def test_logged_windows_match_brute_force(self, request, monkeypatch, case):
         # toy_up: a concentrated (1e-5), a medium (1e-3) and a duplicate-heavy (1.0) window.
-        ensemble, cfgs = {
+        ensemble, cfg, lrs, seeds = {
             "toy_up": (request.getfixturevalue("toy_up"),
-                       [st.SgdConfig(learning_rate=lr, total_iters=2000, seed=4,
-                                     checkpoints_per_decade=5) for lr in (1e-5, 1e-3, 1.0)]),
+                       st.SgdConfig(total_iters=2000, checkpoints_per_decade=5),
+                       [1e-5, 1e-3, 1.0], [4, 4, 4]),
             "toy_op_loss_stop": (request.getfixturevalue("toy_op"),
-                                 [st.SgdConfig(learning_rate=2.3e-2, total_iters=50_000, seed=3,
-                                               checkpoints_per_decade=5,
-                                               loss_stop_threshold=1e-16)]),
+                                 st.SgdConfig(total_iters=50_000, checkpoints_per_decade=5,
+                                              loss_stop_threshold=1e-16),
+                                 [2.3e-2], [3]),
             "d10_batch_eight": (st.random_hyperplane_ensemble(10, 30, seed=3),
-                                [st.SgdConfig(learning_rate=lr, batch_size=8, total_iters=2000,
-                                              seed=5, checkpoints_per_decade=5)
-                                 for lr in (0.02, 1.0, 20.0)]),
+                                st.SgdConfig(batch_size=8, total_iters=2000, checkpoints_per_decade=5),
+                                [0.02, 1.0, 20.0], [5, 5, 5]),
         }[case]
         windows = []
         real = sphere.knn_entropy
@@ -255,8 +253,8 @@ class TestEngineWindows:
             return real(samples, k, *args)
 
         monkeypatch.setattr(sphere, "knn_entropy", recording)
-        logs = st.run_seeded(ensemble, cfgs)
-        assert len(windows) == sum(log.entropies.size for log in logs) >= 2 * len(cfgs)
+        logs = st.run_seeded(ensemble, cfg, lrs, seeds)
+        assert len(windows) == sum(log.entropies.size for log in logs) >= 2 * len(lrs)
         if case == "toy_op_loss_stop":
             assert logs[0].stopped_early
         for x, k in windows:
@@ -266,12 +264,12 @@ class TestEngineWindows:
 
 
 class TestEntropyConfig:
-    """The entropy settings of a chain: `k` and `window` of its SgdConfig."""
+    """The entropy settings of a grid: `k` and `window` of its SgdConfig."""
 
     def test_k_must_be_below_window(self):
         with pytest.raises(InvalidConfig):
-            st.SgdConfig(learning_rate=0.1, k=100, window=100)
+            st.SgdConfig(k=100, window=100)
 
     def test_defaults(self):
-        cfg = st.SgdConfig(learning_rate=0.1)
+        cfg = st.SgdConfig()
         assert cfg.k == 50 and cfg.window == 1000

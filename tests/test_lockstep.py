@@ -10,6 +10,7 @@ entropy windows run on.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,17 +31,31 @@ def assert_logs_equal(got, want):
             assert a == b, f.name
 
 
-def assert_matches_reference(ensemble, cfgs, inits=None):
-    logs = st.run_seeded(ensemble, cfgs, inits)
-    assert len(logs) == len(cfgs)
-    for i, (log, cfg) in enumerate(zip(logs, cfgs)):
+class Grid(NamedTuple):
+    """The arguments of one engine call after the ensemble: shared settings, lrs and seeds."""
+
+    cfg: st.SgdConfig
+    lrs: list
+    seeds: list
+
+    def head(self, n):
+        return Grid(self.cfg, self.lrs[:n], self.seeds[:n])
+
+    def chains(self):
+        return [Grid(self.cfg, [lr], [seed]) for lr, seed in zip(self.lrs, self.seeds)]
+
+
+def assert_matches_reference(ensemble, grid, inits=None):
+    logs = st.run_seeded(ensemble, *grid, inits)
+    assert len(logs) == len(grid.lrs)
+    for i, (log, lr, seed) in enumerate(zip(logs, grid.lrs, grid.seeds)):
         init = None if inits is None else inits[i]
-        assert_logs_equal(log, oracles.run_chain_reference(ensemble, cfg, init))
+        assert_logs_equal(log, oracles.run_chain_reference(ensemble, grid.cfg, lr, seed, init))
     return logs
 
 
 def chains(lrs, seed0=0, **shared):
-    return [st.SgdConfig(learning_rate=lr, seed=seed0 + i, **shared) for i, lr in enumerate(lrs)]
+    return Grid(st.SgdConfig(**shared), list(lrs), [seed0 + i for i in range(len(lrs))])
 
 
 UP_CHAINS = chains([2e-3, 2.2e-2, 0.22, 1.0], seed0=11, total_iters=1500, k=10, window=200)
@@ -74,7 +89,7 @@ class TestParityWithReference:
     def test_explicit_inits(self, toy_up):
         rng = np.random.default_rng(21)
         inits = [np.array([0.0, 0.0, 2.0]), st.random_unit_vector(3, rng), 3.0 * rng.standard_normal(3)]
-        assert_matches_reference(toy_up, UP_CHAINS[:3], inits)
+        assert_matches_reference(toy_up, UP_CHAINS.head(3), inits)
 
     @pytest.mark.parametrize("block", [1, 7, sphere._BLOCK_STEPS])
     def test_block_size_does_not_change_a_chain(self, toy_op, monkeypatch, block):
@@ -82,9 +97,9 @@ class TestParityWithReference:
         assert_matches_reference(toy_op, OP_CHAINS)
 
     def test_each_chain_alone_equals_all_together(self, toy_op):
-        together = st.run_seeded(toy_op, OP_CHAINS)
-        for cfg, log in zip(OP_CHAINS, together):
-            assert_logs_equal(st.run_seeded(toy_op, [cfg])[0], log)
+        together = st.run_seeded(toy_op, *OP_CHAINS)
+        for chain, log in zip(OP_CHAINS.chains(), together):
+            assert_logs_equal(st.run_seeded(toy_op, *chain)[0], log)
 
 
 @pytest.fixture
@@ -101,12 +116,13 @@ class TestWindowThreads:
 
     @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
     def test_logs_do_not_depend_on_the_cpu_count(self, request, monkeypatch, force_cpus, case):
-        ensemble, cfgs = {
+        ensemble, grid = {
             "toy_up": (request.getfixturevalue("toy_up"), UP_CHAINS),
             "toy_op_loss_stop": (request.getfixturevalue("toy_op"), OP_CHAINS),
             "d10_batch_eight": (st.random_hyperplane_ensemble(10, 30, seed=3), D10_CHAINS),
         }[case]
-        want = [oracles.run_chain_reference(ensemble, cfg) for cfg in cfgs]
+        want = [oracles.run_chain_reference(ensemble, grid.cfg, lr, seed)
+                for lr, seed in zip(grid.lrs, grid.seeds)]
         threads = set()
         real = sphere.knn_entropy
 
@@ -118,10 +134,10 @@ class TestWindowThreads:
         for n in (1, 2, 5):
             force_cpus(n)
             threads.clear()
-            for got, ref in zip(st.run_seeded(ensemble, cfgs), want):
+            for got, ref in zip(st.run_seeded(ensemble, *grid), want):
                 assert_logs_equal(got, ref)
             assert threading.get_ident() not in threads
-            assert min(n, 2) <= len(threads) <= min(n, len(cfgs))
+            assert min(n, 2) <= len(threads) <= min(n, len(grid.lrs))
 
     class WindowFailed(Exception):
         pass
@@ -130,7 +146,7 @@ class TestWindowThreads:
     def test_no_thread_outlives_the_call(self, toy_up, force_cpus, n):
         force_cpus(n)
         before = threading.active_count()
-        st.run_seeded(toy_up, UP_CHAINS)
+        st.run_seeded(toy_up, *UP_CHAINS)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -149,7 +165,7 @@ class TestWindowThreads:
 
         monkeypatch.setattr(sphere, "knn_entropy", third_call_raises)
         with pytest.raises(self.WindowFailed):
-            st.run_seeded(toy_up, UP_CHAINS)
+            st.run_seeded(toy_up, *UP_CHAINS)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -171,18 +187,18 @@ class TestWindowThreads:
         monkeypatch.setattr(sphere, "knn_entropy", counted)
         monkeypatch.setattr(sphere, "gradient_stats", nan_after_a_round)
         with pytest.raises(NonFinite):
-            st.run_seeded(toy_up, UP_CHAINS)
-        assert len(windows) == len(UP_CHAINS) and len(set(windows)) > 1
+            st.run_seeded(toy_up, *UP_CHAINS)
+        assert len(windows) == len(UP_CHAINS.lrs) and len(set(windows)) > 1
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n, cfgs, size", [
+    @pytest.mark.parametrize("n, grid, size", [
         (1, UP_CHAINS, 1),
-        (2, UP_CHAINS[:1], 1),
+        (2, UP_CHAINS.head(1), 1),
         (2, UP_CHAINS, 2),
         (5, UP_CHAINS, 4),
-        (5, UP_CHAINS[:3], 3),
+        (5, UP_CHAINS.head(3), 3),
     ], ids=["one-cpu", "one-chain", "two-cpus", "five-cpus", "five-cpus-three-chains"])
-    def test_pool_size(self, toy_up, monkeypatch, force_cpus, n, cfgs, size):
+    def test_pool_size(self, toy_up, monkeypatch, force_cpus, n, grid, size):
         """One pool of min(cpus, chains) threads per call, shut down before the call returns."""
         force_cpus(n)
         made, shut = [], []
@@ -198,7 +214,7 @@ class TestWindowThreads:
                 shut.append(self.size)
 
         monkeypatch.setattr(sphere, "ThreadPoolExecutor", RecordingPool)
-        st.run_seeded(toy_up, [replace(c, total_iters=300) for c in cfgs])
+        st.run_seeded(toy_up, replace(grid.cfg, total_iters=300), grid.lrs, grid.seeds)
         assert made == shut == [size]
 
 
@@ -213,18 +229,29 @@ class TestBlockSampling:
 
 
 class TestChainSet:
-    def test_chains_must_share_all_but_lr_and_seed(self, toy_up):
-        with pytest.raises(InvalidConfig):
-            st.run_seeded(toy_up, [UP_CHAINS[0], replace(UP_CHAINS[1], total_iters=1000)])
-        with pytest.raises(InvalidConfig):
-            st.run_seeded(toy_up, [UP_CHAINS[0], replace(UP_CHAINS[1], window=300)])
+    """One shared SgdConfig plus one learning rate, one seed and (optionally) one init per chain."""
 
     def test_one_init_per_chain(self, toy_up):
-        with pytest.raises(InvalidConfig, match="1 inits for 2 chains"):
-            st.run_seeded(toy_up, UP_CHAINS[:2], [None])
+        with pytest.raises(InvalidConfig, match="2 lrs, 2 seeds, 1 inits"):
+            st.run_seeded(toy_up, *UP_CHAINS.head(2), [None])
+
+    @pytest.mark.parametrize("lrs, seeds", [([0.1, 0.2], [1]), ([0.1], [1, 2])],
+                             ids=["two-lrs-one-seed", "one-lr-two-seeds"])
+    def test_one_lr_and_one_seed_per_chain(self, toy_up, lrs, seeds):
+        with pytest.raises(InvalidConfig, match=f"{len(lrs)} lrs, {len(seeds)} seeds, {len(lrs)} inits"):
+            st.run_seeded(toy_up, UP_CHAINS.cfg, lrs, seeds)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -0.1])
+    def test_invalid_learning_rate_rejected(self, toy_up, lr):
+        with pytest.raises(InvalidConfig, match="learning rates must be finite and positive"):
+            st.run_seeded(toy_up, UP_CHAINS.cfg, [0.1, lr], [1, 2])
+
+    def test_negative_seed_rejected(self, toy_up):
+        with pytest.raises(InvalidConfig, match="seeds must be >= 0"):
+            st.run_seeded(toy_up, UP_CHAINS.cfg, [0.1, 0.2], [1, -1])
 
     def test_no_chains(self, toy_up):
-        assert st.run_seeded(toy_up, []) == []
+        assert st.run_seeded(toy_up, UP_CHAINS.cfg, [], []) == []
 
     def test_stacked_loss_equals_one_chain_loss(self, toy_up):
         ws = st.uniform_sphere_samples(3, 20, np.random.default_rng(1))

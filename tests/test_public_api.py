@@ -1,4 +1,5 @@
 import ast
+import builtins
 from pathlib import Path
 
 import sgdtherm
@@ -48,3 +49,22 @@ def test_every_error_type_is_caught_inside_the_package():
                         caught.add(name.attr)
     assert defined
     assert sorted(defined - caught) == []
+
+
+def test_no_raise_names_a_builtin_exception():
+    """Every `raise` in the package names a type of `sgdtherm.errors`, or re-raises.
+
+    An argument outside its domain raises InvalidConfig, so a caller that
+    handles the package's errors never meets a bare IndexError or ValueError.
+    A bare `raise` re-raises what an `except` clause caught, and is allowed.
+    """
+    builtin = {name for name, obj in vars(builtins).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in builtin:
+                    found.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert found == []

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -121,18 +123,18 @@ class TestCheckpointSchedule:
 
 
 class TestRunTrajectory:
-    """`run_seeded` on one chain, described by one SgdConfig."""
+    """`run_seeded` on one chain: one SgdConfig, one learning rate and one seed."""
 
     def test_single_iteration_boundary(self, toy_op):
-        cfg = st.SgdConfig(learning_rate=0.1, total_iters=1, seed=0)
-        log = st.run_seeded(toy_op, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=1)
+        log = st.run_seeded(toy_op, cfg, [0.1], [0])[0]
         np.testing.assert_array_equal(log.iters, [1])
         assert log.snapshots.shape == (1, 3)
 
     def test_unit_norm_at_every_checkpoint(self, toy_up):
-        cfg = st.SgdConfig(learning_rate=0.3, total_iters=3000, seed=1, k=10, window=3000)
+        cfg = st.SgdConfig(total_iters=3000, k=10, window=3000)
         init = st.random_unit_vector(3, np.random.default_rng(4))
-        log = st.run_seeded(toy_up, [cfg], inits=[init])[0]
+        log = st.run_seeded(toy_up, cfg, [0.3], [1], inits=[init])[0]
         assert log.snapshots.shape == (3000, 3)  # the ring holds every iterate
         norms = np.linalg.norm(log.snapshots, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
@@ -143,16 +145,16 @@ class TestRunTrajectory:
         assert op_run_fast.stopped_early
 
     def test_deterministic_rerun(self, toy_up):
-        cfg = st.SgdConfig(learning_rate=0.01, total_iters=2000, seed=33)
-        a = st.run_seeded(toy_up, [cfg])[0]
-        b = st.run_seeded(toy_up, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=2000)
+        a = st.run_seeded(toy_up, cfg, [0.01], [33])[0]
+        b = st.run_seeded(toy_up, cfg, [0.01], [33])[0]
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.snapshots, b.snapshots)
         np.testing.assert_array_equal(a.snrs, b.snrs)
 
     def test_zero_gradient_start_stays_constant(self, toy_op):
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0, k=10, window=50)
-        log = st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 0.0, 1.0])])[0]
+        cfg = st.SgdConfig(total_iters=50, k=10, window=50)
+        log = st.run_seeded(toy_op, cfg, [0.05], [0], inits=[np.array([0.0, 0.0, 1.0])])[0]
         assert log.snapshots.shape == (50, 3)
         assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
         assert np.all(log.losses == 0.0)
@@ -169,16 +171,16 @@ class TestRunTrajectory:
         Long enough that the initial transient (first few thousand steps)
         has left the preceding decade.
         """
-        cfg = st.SgdConfig(learning_rate=2.4e-3, total_iters=500_000, seed=3)
-        log = st.run_seeded(toy_up, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=500_000)
+        log = st.run_seeded(toy_up, cfg, [2.4e-3], [3])[0]
         assert not log.stopped_early
         last = log.losses[log.iters >= log.final_iter / 10]
         prev = log.losses[(log.iters >= log.final_iter / 100) & (log.iters < log.final_iter / 10)]
         assert abs(last.mean() - prev.mean()) < 0.10 * prev.mean()
 
     def test_snapshot_window_matches_entropy_config(self, toy_up):
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=1500, seed=8, k=10, window=200)
-        log = st.run_seeded(toy_up, [cfg])[0]
+        cfg = st.SgdConfig(total_iters=1500, k=10, window=200)
+        log = st.run_seeded(toy_up, cfg, [0.05], [8])[0]
         assert log.snapshots.shape == (200, 3)
         assert log.final_iter == 1500  # the ring's last row is the final iterate
         # final checkpoint's entropy equals the estimate over the retained window
@@ -189,40 +191,44 @@ class TestRunTrajectory:
 
     def test_collapsed_window_logs_entropy_sentinel(self, toy_op):
         """A delta-like window (constant trajectory) logs -inf, not an exception."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=120, seed=0, k=10, window=50)
-        log = st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 0.0, 1.0])])[0]
+        cfg = st.SgdConfig(total_iters=120, k=10, window=50)
+        log = st.run_seeded(toy_op, cfg, [0.05], [0], inits=[np.array([0.0, 0.0, 1.0])])[0]
         assert log.entropies.size > 0
         assert np.all(log.entropies == -np.inf)
 
     def test_batch_larger_than_ensemble_rejected(self, toy_op):
-        cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0, batch_size=5)
+        cfg = st.SgdConfig(total_iters=10, batch_size=5)
         with pytest.raises(InvalidConfig, match="batch_size 5 > ensemble size 2"):
-            st.run_seeded(toy_op, [cfg])
+            st.run_seeded(toy_op, cfg, [0.1], [0])
 
     def test_init_of_wrong_length_rejected(self, toy_op):
-        cfg = st.SgdConfig(learning_rate=0.1, total_iters=10, seed=0)
+        cfg = st.SgdConfig(total_iters=10)
         with pytest.raises(InvalidConfig, match=r"init has shape \(2,\), ensemble dimension is 3"):
-            st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 1.0])])
+            st.run_seeded(toy_op, cfg, [0.1], [0], inits=[np.array([0.0, 1.0])])
 
     def test_non_unit_init_is_projected(self, toy_op):
         """[0, 0, 2] is projected to the pole, where every toy_op component vanishes."""
-        cfg = st.SgdConfig(learning_rate=0.05, total_iters=50, seed=0, k=10, window=50)
-        log = st.run_seeded(toy_op, [cfg], inits=[np.array([0.0, 0.0, 2.0])])[0]
+        cfg = st.SgdConfig(total_iters=50, k=10, window=50)
+        log = st.run_seeded(toy_op, cfg, [0.05], [0], inits=[np.array([0.0, 0.0, 2.0])])[0]
         assert np.all(log.snapshots == np.array([0.0, 0.0, 1.0]))
         assert np.all(log.losses == 0.0)
         # Scaling by 4 is exact, so a projected start 4u is bit for bit the projected u.
         u = st.random_unit_vector(3, np.random.default_rng(5))
-        a, b = (st.run_seeded(toy_op, [cfg], inits=[x])[0] for x in (u, 4.0 * u))
+        a, b = (st.run_seeded(toy_op, cfg, [0.05], [0], inits=[x])[0] for x in (u, 4.0 * u))
         np.testing.assert_array_equal(a.snapshots, b.snapshots)
         np.testing.assert_array_equal(a.losses, b.losses)
 
 
 class TestSgdConfig:
     @pytest.mark.parametrize("field, value", [
-        ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
         ("loss_stop_threshold", np.nan), ("loss_stop_threshold", np.inf),
         ("loss_stop_threshold", -1.0), ("k", 0),
     ])
     def test_invalid_value_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
-            st.SgdConfig(**{"learning_rate": 0.1, field: value})
+            st.SgdConfig(**{field: value})
+
+    def test_holds_only_the_shared_settings(self):
+        """A chain's learning rate and seed are arguments of `run_seeded`, not settings."""
+        assert [f.name for f in fields(st.SgdConfig)] == [
+            "batch_size", "total_iters", "checkpoints_per_decade", "loss_stop_threshold", "k", "window"]
