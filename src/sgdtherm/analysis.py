@@ -71,7 +71,7 @@ class PowerLawFit:
     r_squared: float
 
 
-def kernel_smooth_triangular(log_xs, ys, h: float = 0.3) -> np.ndarray:
+def kernel_smooth_triangular(log_xs, ys, h: float) -> np.ndarray:
     """Triangular-kernel smoothing on a log axis; endpoint values are preserved.
 
     Weight of x_j at x_i is max(h - |log_x_i - log_x_j|, 0); the first and
@@ -128,10 +128,7 @@ def kernel_smooth_gaussian_logtime(ts, ys, sigma: float) -> np.ndarray:
         return _normalized_smooth(weights, ys, "sigma", sigma)
 
 
-def extract_stationary(
-    log: TrajectoryLog,
-    tail_fraction: float = 0.5,
-) -> StationaryEstimate:
+def extract_stationary(log: TrajectoryLog, tail_fraction: float) -> StationaryEstimate:
     """Reduce a trajectory to tail means/dispersions of loss and entropy.
 
     The tail is the last `tail_fraction` of executed iterations.  The run is
@@ -261,9 +258,7 @@ def temperature_curve(estimates, epsilon: float) -> TemperatureCurve:
     return TemperatureCurve(intervals=intervals, monotone=monotone)
 
 
-def finite_difference_temperature(
-    u_series, s_series, dt: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
+def finite_difference_temperature(u_series, s_series, dt: int) -> tuple[np.ndarray, np.ndarray]:
     """Centered-difference temperature (u[i+dt]-u[i-dt])/(s[i+dt]-s[i-dt]).
 
     Operates on series aligned to the same (log-spaced) checkpoint index;

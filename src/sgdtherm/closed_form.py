@@ -60,12 +60,12 @@ def central_meridian_snr(radial: float, half_angle: float) -> float:
     return math.sqrt(1.0 - radial * radial) * math.tan(half_angle)
 
 
-def hessian_ensemble_snr(hessians: np.ndarray, direction: np.ndarray) -> float | None:
+def hessian_ensemble_snr(hessians: np.ndarray, direction: np.ndarray) -> float:
     """SNR of a quadratic ensemble along a unit direction from the optimum.
 
     ||H r|| / sqrt(E ||H_i r||^2 - ||H r||^2) with H the mean Hessian; the
     displacement magnitude cancels, so this is the delta-independent value of
-    the measured SNR at optimum + delta * r.  None when the variance term is
+    the measured SNR at optimum + delta * r.  NaN when the variance term is
     (numerically) zero, e.g. a single component or identical Hessians.
     """
     hessians = np.asarray(hessians, dtype=float)
@@ -80,7 +80,7 @@ def hessian_ensemble_snr(hessians: np.ndarray, direction: np.ndarray) -> float |
     full_sq = float(mean_hr @ mean_hr)
     variance = mean_sq - full_sq
     if variance < _DENOM_FLOOR:
-        return None
+        return math.nan
     return math.sqrt(full_sq) / math.sqrt(variance)
 
 

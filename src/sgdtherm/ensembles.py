@@ -4,15 +4,17 @@ Hyperplane ensembles are scale-invariant and live on the unit sphere:
 component i is half the squared distance to a hyperplane through the origin,
 normalized by ||w||^2.  In 3D each zero set is a great circle, as in the toy
 ensembles `make_toy_op`, `make_toy_up` and `make_circle_pair`.  They are the
-only ensembles `sphere.run_seeded` simulates; their `full_loss` and
-`batch_grad` take one weight vector or a stack of them, one per chain.
+only ensembles `sphere.run_seeded` simulates; their `full_loss`,
+`batch_grad` and `component_grads` take one weight vector or a stack of
+them, one per chain.
 Whether every per-example loss can vanish simultaneously distinguishes the
 overparameterized (OP) regime from the underparameterized (UP) one: OP holds
 exactly when the normals do not span the full space.
 
 The quadratic ensemble (per-component Hessians around a shared optimum) is
-an oracle model only: it provides the component gradients behind the
-closed-form check that its SNR does not depend on the displacement.
+an oracle model only: it provides the component gradients (at one point or
+a stack of them) behind the closed-form check that its SNR does not depend
+on the displacement.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ class HyperplaneEnsemble:
         return np.vecdot(a, a) / (2.0 * sq * len(self))
 
     def component_grads(self, w: np.ndarray) -> np.ndarray:
-        """(M, D) gradients at a unit vector w."""
-        a = self.normals @ w
-        return a[:, None] * self.normals - (a * a)[:, None] * w[None, :]
+        """(M, D) gradients at a unit vector w, or (L, M, D) at stacked (L, D) weights."""
+        a = np.matvec(self.normals, w)[..., None]
+        return a * self.normals - (a * a) * w[..., None, :]
 
     def batch_grad(self, indices: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Mean gradient over the indexed components at w.
@@ -150,8 +152,9 @@ class QuadraticEnsemble:
             raise InvalidConfig("component Hessians must be symmetric within 1e-12")
 
     def component_grads(self, w: np.ndarray) -> np.ndarray:
+        """(M, D) gradients at w, or (L, M, D) at stacked (L, D) points."""
         d = np.asarray(w, dtype=float) - self.optimum
-        return np.einsum("mij,j->mi", self.hessians, d)
+        return np.matvec(self.hessians, d[..., None, :])
 
 
 def random_quadratic_ensemble(dim: int, components: int, seed: int) -> QuadraticEnsemble:

@@ -211,9 +211,11 @@ def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[Traject
     The active chains step as one (L, D) array, w <- (w - lr * g) / ||w - lr * g||
     row by row, with numpy's overflow and invalid-value warnings off: a
     diverging chain surfaces only as ZeroVector (a result of numerically zero
-    norm) or NonFinite (a non-finite logged loss or gradient).  A
+    norm) or NonFinite (a non-finite logged loss or gradient norm).  A
     chain whose full-ensemble loss falls below `loss_stop_threshold` (when
-    nonzero) stops and leaves the active rows.  The trailing `window` weights
+    nonzero) stops and leaves the active rows.  The gradient statistics of
+    the rows logged at a checkpoint or a loss-stop step come from one
+    `gradient_stats` call on their (L, D) stack.  The trailing `window` weights
     of the chains sit in one (L, window, D) ring buffer, the only entropy
     window: at every checkpoint with a full ring, a chain's window is put in
     chronological order and its k-NN entropy logged at that iteration (-inf
@@ -285,12 +287,11 @@ def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[Traject
                 due = list(range(len(rows))) if at_checkpoint else np.flatnonzero(stop).tolist()
                 if not due:
                     continue
-                for r in due:
-                    stats = gradient_stats(ensemble, w[r])
-                    if not (np.isfinite(loss[r]) and np.isfinite(stats.full_grad_norm)):
-                        raise NonFinite(f"non-finite loss or gradient at iteration {t}")
-                    points[rows[r]].append(
-                        (t, loss[r], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr_or_nan))
+                stats = gradient_stats(ensemble, w[due])
+                if not np.isfinite([loss[due], stats.full_grad_norm, stats.mean_stoch_norm]).all():
+                    raise NonFinite(f"non-finite loss or gradient at iteration {t}")
+                for r, *row in zip(due, loss[due], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr):
+                    points[rows[r]].append((t, *row))
                 if t >= cfg.window:
                     windows = [pool.submit(knn_entropy, _ring_window(ring[r], t), cfg.k) for r in due]
                     wait(windows)  # one wake-up per checkpoint, not one per window

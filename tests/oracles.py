@@ -91,8 +91,8 @@ def quadratic_loss_and_grad(ensemble, index: int, w: np.ndarray) -> tuple[float,
     return loss, h @ d
 
 
-def snr_two_component(g1: np.ndarray, g2: np.ndarray) -> float | None:
-    """Two-component SNR: ||g1 + g2|| / ||g1 - g2||, None when g1 = g2.
+def snr_two_component(g1: np.ndarray, g2: np.ndarray) -> float:
+    """Two-component SNR: ||g1 + g2|| / ||g1 - g2||, NaN when g1 = g2.
 
     Agrees with gradient_stats on any two-component ensemble: with M = 2 the
     deviation of each component from the mean is (g1 - g2) / 2.
@@ -103,7 +103,7 @@ def snr_two_component(g1: np.ndarray, g2: np.ndarray) -> float | None:
         raise InvalidConfig(f"shapes {g1.shape} and {g2.shape} differ")
     denom = float(np.linalg.norm(g1 - g2))
     if denom == 0.0:
-        return None
+        return math.nan
     return float(np.linalg.norm(g1 + g2)) / denom
 
 
@@ -285,7 +285,7 @@ def run_chain_reference(ensemble, cfg, lr: float, seed: int,
         losses.append(loss)
         g_norms.append(stats.full_grad_norm)
         s_norms.append(stats.mean_stoch_norm)
-        snrs.append(stats.snr_or_nan)
+        snrs.append(stats.snr)
         if len(ring) == cfg.window:
             ent_iters.append(t)
             ent_vals.append(knn_entropy(np.asarray(ring), cfg.k))

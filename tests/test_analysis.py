@@ -18,10 +18,10 @@ def make_estimates(losses, entropies, lrs=None, stabilized=True):
 
 class TestTriangularSmoothing:
     def test_single_point_unchanged(self):
-        np.testing.assert_array_equal(st.kernel_smooth_triangular([0.0], [5.0]), [5.0])
+        np.testing.assert_array_equal(st.kernel_smooth_triangular([0.0], [5.0], h=0.3), [5.0])
 
     def test_constant_series_unchanged(self):
-        out = st.kernel_smooth_triangular(np.linspace(0, 1, 7), np.full(7, 2.5))
+        out = st.kernel_smooth_triangular(np.linspace(0, 1, 7), np.full(7, 2.5), h=0.3)
         np.testing.assert_allclose(out, 2.5, rtol=0, atol=1e-15)
 
     def test_hand_computed_middle_weight(self):
@@ -42,13 +42,13 @@ class TestTriangularSmoothing:
         xs = np.linspace(0, 1, 11)
         ys = rng.standard_normal(11)
         a, b = 2.7, -4.2
-        direct = st.kernel_smooth_triangular(xs, a * ys + b)
-        composed = a * st.kernel_smooth_triangular(xs, ys) + b
+        direct = st.kernel_smooth_triangular(xs, a * ys + b, h=0.3)
+        composed = a * st.kernel_smooth_triangular(xs, ys, h=0.3) + b
         np.testing.assert_allclose(direct, composed, atol=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(InvalidConfig, match="no points to smooth"):
-            st.kernel_smooth_triangular([], [])
+            st.kernel_smooth_triangular([], [], h=0.3)
 
     def test_overflowing_bandwidth_rejected(self):
         """At h = 1e308 the weight sums overflow: a U-like series would smooth to 0, an
@@ -111,17 +111,17 @@ class TestExtractStationary:
         )
 
     def test_constant_series(self):
-        est = st.extract_stationary(self._constant_log())
+        est = st.extract_stationary(self._constant_log(), tail_fraction=0.5)
         assert est.loss_mean == 0.75
         assert est.loss_std == 0.0
         assert est.stabilized
 
     def test_converging_run_not_stabilized(self, op_run_fast):
-        est = st.extract_stationary(op_run_fast)
+        est = st.extract_stationary(op_run_fast, tail_fraction=0.5)
         assert not est.stabilized
 
     def test_up_run_stabilized(self, up_run_low):
-        est = st.extract_stationary(up_run_low)
+        est = st.extract_stationary(up_run_low, tail_fraction=0.5)
         assert est.stabilized
         assert est.loss_mean > 0.015  # near the UP floor of ~0.0192
 
@@ -129,7 +129,7 @@ class TestExtractStationary:
         """A -inf window in the tail gives S = -inf, no S dispersion and no stability verdict."""
         log = self._constant_log()
         log.entropies[-3] = -np.inf
-        est = st.extract_stationary(log)
+        est = st.extract_stationary(log, tail_fraction=0.5)
         assert est.entropy_mean == -np.inf
         assert math.isnan(est.entropy_std)
         assert not est.stabilized

@@ -170,7 +170,7 @@ class TestWindowThreads:
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_no_thread_outlives_a_failing_chain(self, toy_up, monkeypatch, force_cpus, n):
-        """A gradient turns non-finite at the first checkpoint after one full round of windows."""
+        """One chain's gradient norm turns non-finite at the first checkpoint after one full round of windows."""
         force_cpus(n)
         before = threading.active_count()
         real_stats, real_entropy = sphere.gradient_stats, sphere.knn_entropy
@@ -182,7 +182,11 @@ class TestWindowThreads:
 
         def nan_after_a_round(ensemble, w):
             stats = real_stats(ensemble, w)
-            return replace(stats, full_grad_norm=np.nan) if windows else stats
+            if not windows:
+                return stats
+            norms = stats.full_grad_norm.copy()
+            norms[-1] = np.nan  # the last row of the (L,) stack only
+            return replace(stats, full_grad_norm=norms)
 
         monkeypatch.setattr(sphere, "knn_entropy", counted)
         monkeypatch.setattr(sphere, "gradient_stats", nan_after_a_round)
