@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import knn_entropy
-from .errors import InvalidConfig, TooFewSamples
+from .errors import InvalidConfig
 from .sphere import TrajectoryLog
 
 
@@ -137,6 +137,8 @@ def extract_stationary(log: TrajectoryLog, tail_fraction: float) -> StationaryEs
     standard deviation (the dispersion of the tail's window estimates).  A
     tail holding a collapsed (-inf) window has entropy mean -inf, no entropy
     dispersion (NaN) and is not stabilized; its loss statistics are as usual.
+    A tail with fewer than 2 checkpoints or 2 entropy windows has no estimate:
+    every statistic is NaN and the run is not stabilized.
     """
     if not 0.0 < tail_fraction <= 0.5:
         raise InvalidConfig("tail_fraction must lie in (0, 0.5]")
@@ -147,11 +149,10 @@ def extract_stationary(log: TrajectoryLog, tail_fraction: float) -> StationaryEs
     mid = (1.0 - 0.5 * tail_fraction) * final
 
     tail_mask = log.iters > cutoff
-    if np.count_nonzero(tail_mask) < 2:
-        raise TooFewSamples("tail contains fewer than 2 checkpoints")
     ent_mask = ent_iters > cutoff
-    if np.count_nonzero(ent_mask) < 2:
-        raise TooFewSamples("tail contains fewer than 2 entropy windows")
+    if np.count_nonzero(tail_mask) < 2 or np.count_nonzero(ent_mask) < 2:
+        nan = math.nan
+        return StationaryEstimate(log.learning_rate, nan, nan, nan, nan, False)
 
     tail_losses = log.losses[tail_mask]
     tail_iters = log.iters[tail_mask]
@@ -237,7 +238,7 @@ def temperature_curve(estimates, epsilon: float) -> TemperatureCurve:
     endpoints are nondecreasing.
     """
     if len(estimates) < 3:
-        raise TooFewSamples(f"need >= 3 estimates, got {len(estimates)}")
+        raise InvalidConfig(f"need >= 3 estimates, got {len(estimates)}")
     intervals = []
     for i in range(len(estimates)):
         iv = estimate_temperature_interval(estimates, i, epsilon)
@@ -298,7 +299,7 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     if xs.shape != ys.shape:
         raise InvalidConfig("xs and ys must have equal length")
     if xs.size < 3:
-        raise TooFewSamples(f"need >= 3 points, got {xs.size}")
+        raise InvalidConfig(f"need >= 3 points, got {xs.size}")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise InvalidConfig("power-law fit requires strictly positive coordinates")
     lx = np.log(xs)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFinite, TooFewSamples
+from .errors import InvalidConfig, NonFinite
 
 # 32 rows of N = 1000 doubles are 256 KB, so a tile stays in L2, and a
 # 32 x (D + 2) x 1000 product with D < 16 is below the size at which
@@ -52,14 +52,15 @@ def knn_total_edge_length(samples, k: int) -> float:
 
     Each point contributes the distances to its k nearest neighbors, the
     exact smallest multiset: a tie at the k-th distance contributes the tied
-    value, so the sum is unambiguous.
+    value, so the sum is unambiguous.  N must exceed k: fewer samples, like
+    k < 1, raise InvalidConfig.
     """
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     x = _as_sample_matrix(samples)
     n = x.shape[0]
     if n <= k:
-        raise TooFewSamples(f"need more than k={k} samples, got {n}")
+        raise InvalidConfig(f"need more than k={k} samples, got {n}")
     if not np.isfinite(x).all():
         raise NonFinite("samples contain NaN or inf")
     centered = x - x.mean(axis=0)

@@ -1,10 +1,10 @@
-"""Exception types shared across the package, one for each way a caller handles an error.
+"""Exception types shared across the package, each a reason `cli.main` exits 2.
 
-`ZeroVector` and `NonFinite` (a diverged simulation) and `InvalidConfig` and
-`MissingData` (bad input) exit 2 in `cli.main`; `TooFewSamples` leaves a run
-without a stationary estimate in `cli._run_chains`; `DegeneratePoint` skips
-an oracle point in `cli.verify_oracles`.  Any other argument outside its
-domain raises `InvalidConfig`.
+`ZeroVector` and `NonFinite` mark a diverged simulation, `InvalidConfig` and
+`MissingData` bad input; any other argument outside its domain raises
+`InvalidConfig`.  A value that does not exist (an undefined SNR, a closed form
+at a vanishing denominator, the stationary estimate of a too-short tail) is
+NaN, not an exception.
 """
 
 
@@ -14,14 +14,6 @@ class ZeroVector(ValueError):
 
 class NonFinite(ArithmeticError):
     """A loss or gradient became NaN/Inf during simulation."""
-
-
-class TooFewSamples(ValueError):
-    """Not enough samples for the requested estimate."""
-
-
-class DegeneratePoint(ArithmeticError):
-    """Closed-form expression evaluated where its denominator vanishes."""
 
 
 class InvalidConfig(ValueError):

@@ -17,13 +17,20 @@ import numpy as np
 
 from sgdtherm import (
     TrajectoryLog,
+    central_meridian_snr,
     checkpoint_schedule,
+    factorization_residual,
     gradient_stats,
+    hessian_ensemble_snr,
     knn_entropy,
+    make_circle_pair,
+    make_toy_op,
     project_to_sphere,
+    random_quadratic_ensemble,
     random_unit_vector,
     two_circle_snr_sq,
 )
+from sgdtherm.cli import OracleCheck
 from sgdtherm.errors import InvalidConfig, MissingData, NonFinite, ZeroVector
 
 
@@ -143,21 +150,112 @@ def two_circle_snr_sq_polar(radial: float, azimuth: float, half_angle: float) ->
     return two_circle_snr_sq(x, y, half_angle)
 
 
-def factorization_residual_shifted(sin_sq_azimuth: float, sin_sq_half_angle: float,
-                                   shift: float = 1e-6) -> float:
+def factorization_residual_shifted(sin_sq_azimuth, sin_sq_half_angle, shift: float = 1e-6):
     """`factorization_residual` with the linear coefficient 3 of its factored side moved by `shift`.
 
     A negative control: the identity holds only at shift 0, so an identity
-    check must fail on this residual at any other shift.
+    check must fail on this residual at any other shift.  Like the package's
+    residual it takes scalars or broadcastable arrays.
     """
-    s, r = float(sin_sq_azimuth), float(sin_sq_half_angle)
-    if not 0.0 <= s <= r < 0.5:
+    s = np.asarray(sin_sq_azimuth, dtype=float)
+    r = np.asarray(sin_sq_half_angle, dtype=float)
+    if not np.all((0.0 <= s) & (s <= r) & (r < 0.5)):
         raise InvalidConfig(f"need 0 <= S <= R < 1/2, got S={s}, R={r}")
-    m = s * (1.0 - r) ** 2 + (1.0 - s) * r * r
-    p = (s * (1.0 - r) + (1.0 - s) * r) ** 2
+    one_r = 1.0 - r
+    mixed = s * one_r + (1.0 - s) * r
+    m = s * (one_r * one_r) + (1.0 - s) * r * r
+    p = mixed * mixed
     q = 4.0 * s * (1.0 - s)
     factored = (s - r) * (8.0 * r * s * s - 8.0 * r * s + r - 4.0 * s * s + (3.0 + shift) * s)
-    return (m * q - p) - factored
+    return ((m * q - p) - factored)[()]
+
+
+def verify_oracles_reference() -> list[OracleCheck]:
+    """The closed-form identity suite one point at a time, with scalar closed-form calls.
+
+    The reference for `cli.verify_oracles`, which must return equal checks:
+    the same names, thresholds and verdicts, and equal maximum residuals.
+    A point where the closed form is NaN is skipped.
+    """
+    rng = np.random.default_rng(20_624)
+    checks: list[OracleCheck] = []
+
+    # Polynomial identity behind the radial monotonicity of the squared SNR.
+    worst = 0.0
+    for _ in range(10_000):
+        r = rng.uniform(0.0, 0.4999)
+        s = rng.uniform(0.0, r)
+        worst = max(worst, abs(factorization_residual(s, r)))
+    checks.append(OracleCheck("factorization-identity", worst, 1e-12, worst < 1e-12))
+
+    # Azimuthal minimum at the central meridian.
+    worst = 0.0
+    for alpha in (math.pi / 12, math.pi / 6, math.pi / 5):
+        grid = np.linspace(-alpha, alpha, 2 * round(alpha / 1e-3) + 1)
+        for r in (0.2, 0.5, 0.8):
+            vals = np.array([two_circle_snr_sq(r * math.sin(p), r * math.cos(p), alpha) for p in grid])
+            worst = max(worst, float(vals[grid.size // 2] - vals.min()))
+    checks.append(OracleCheck("central-meridian-minimum", worst, 0.0, worst <= 0.0))
+
+    # Squared SNR nonincreasing in the squared radius.
+    worst = -math.inf
+    for alpha in (math.pi / 12, math.pi / 6, math.pi / 5):
+        for phi in (0.0, alpha / 2, 0.99 * alpha):
+            r = np.sqrt(np.linspace(1e-4, 0.9999, 1000))
+            vals = np.array([two_circle_snr_sq(ri * math.sin(phi), ri * math.cos(phi), alpha) for ri in r])
+            worst = max(worst, float(np.diff(vals).max()))
+    checks.append(OracleCheck("radial-monotonicity", worst, 1e-12, worst < 1e-12))
+
+    # Closed form equals the measured population SNR of the circle pair.  The
+    # SNR checks keep their maximum with np.maximum, which carries an
+    # undefined (NaN) SNR through to a failed check.
+    worst = 0.0
+    for alpha in (math.pi / 6, math.pi / 5):
+        ens = make_circle_pair(alpha)
+        for _ in range(1000):
+            w = rng.standard_normal(3)
+            w /= np.linalg.norm(w)
+            oracle = two_circle_snr_sq(w[0], w[1], alpha)
+            if math.isnan(oracle):
+                continue
+            worst = np.maximum(worst, abs(gradient_stats(ens, w).snr**2 - oracle))
+    checks.append(OracleCheck("two-circle-snr-oracle", worst, 1e-10, worst < 1e-10))
+
+    # Meridian limit consistency with the closed form at azimuth zero.
+    worst = 0.0
+    for r in np.linspace(0.05, 0.95, 19):
+        a = central_meridian_snr(r, math.pi / 6)
+        b = math.sqrt(two_circle_snr_sq(0.0, r, math.pi / 6))
+        worst = max(worst, abs(a - b))
+    checks.append(OracleCheck("meridian-limit-consistency", worst, 1e-12, worst < 1e-12))
+
+    # Direction-wise SNR of quadratic ensembles is displacement-independent.
+    worst = 0.0
+    deltas = np.array([1e-1, 1e-3, 1e-6])[:, None]
+    for trial in range(20):
+        d = int(rng.integers(2, 11))
+        m = int(rng.integers(2, 9))
+        ens = random_quadratic_ensemble(d, m, seed=int(rng.integers(1 << 31)))
+        direction = rng.standard_normal(d)
+        direction /= np.linalg.norm(direction)
+        closed = hessian_ensemble_snr(ens.hessians, direction)
+        snr = gradient_stats(ens, ens.optimum + deltas * direction).snr
+        worst = np.maximum(worst, np.abs(snr - closed).max())
+    checks.append(OracleCheck("hessian-snr-delta-independence", worst, 1e-10, worst < 1e-10))
+
+    # Measured SNR depends on (x, y) only.
+    worst = 0.0
+    ens = make_toy_op()
+    for _ in range(200):
+        x, y = rng.uniform(-0.7, 0.7, size=2)
+        z_sq = 1.0 - x * x - y * y
+        if z_sq <= 1e-3:
+            continue
+        z = math.sqrt(z_sq)
+        up, down = gradient_stats(ens, np.array([[x, y, z], [x, y, -z]])).snr
+        worst = np.maximum(worst, abs(up - down))
+    checks.append(OracleCheck("z-independence", worst, 1e-10, worst < 1e-10))
+    return checks
 
 
 def degenerate_edge_count(samples, k: int) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sgdtherm as st
-from sgdtherm.errors import InvalidConfig, TooFewSamples
+from sgdtherm.errors import InvalidConfig
 
 
 def make_estimates(losses, entropies, lrs=None, stabilized=True):
@@ -135,6 +135,13 @@ class TestExtractStationary:
         assert not est.stabilized
         assert (est.loss_mean, est.loss_std) == (0.75, 0.0)
 
+    def test_short_tail_has_nan_estimate(self):
+        """A tail with fewer than 2 checkpoints (and windows) has every statistic NaN, not stabilized."""
+        est = st.extract_stationary(self._constant_log(n=3), tail_fraction=0.5)
+        assert est.lr == 0.01
+        assert all(math.isnan(v) for v in (est.loss_mean, est.entropy_mean, est.loss_std, est.entropy_std))
+        assert est.stabilized is False
+
     def test_tail_fraction_validated(self, up_run_low):
         with pytest.raises(Exception):
             st.extract_stationary(up_run_low, tail_fraction=0.9)
@@ -232,7 +239,7 @@ class TestTemperatureCurve:
         assert flags == [True, False, False, True]
 
     def test_requires_three_estimates(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InvalidConfig, match="need >= 3 estimates, got 2"):
             st.temperature_curve(make_estimates([1.0, 2.0], [0.0, 1.0]), 0.0)
 
 
@@ -322,7 +329,7 @@ class TestFitPowerLaw:
             st.fit_power_law([1.0, -2.0, 3.0], [1.0, 1.0, 1.0])
         with pytest.raises(InvalidConfig, match="all x values coincide"):
             st.fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InvalidConfig, match="need >= 3 points, got 2"):
             st.fit_power_law([1.0, 2.0], [1.0, 2.0])
 
 
@@ -346,7 +353,7 @@ class TestUniformSphereBaseline:
         assert math.isfinite(s)
 
     def test_cloud_not_above_k_rejected(self, toy_op):
-        with pytest.raises(TooFewSamples, match="need more than k=50 samples, got 50"):
+        with pytest.raises(InvalidConfig, match="need more than k=50 samples, got 50"):
             st.uniform_sphere_baseline(toy_op, 50, k=50, seed=0)
 
     def test_deterministic(self, toy_op):

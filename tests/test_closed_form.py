@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm.errors import DegeneratePoint, InvalidConfig
+from sgdtherm.errors import InvalidConfig
 
 
 class TestTwoCircleSnrSq:
@@ -20,8 +20,21 @@ class TestTwoCircleSnrSq:
             np.testing.assert_allclose(st.two_circle_snr_sq(1.0, 0.0, alpha), 0.0, atol=1e-15)
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegeneratePoint):
-            st.two_circle_snr_sq(0.0, 0.0, math.pi / 6)
+        assert math.isnan(st.two_circle_snr_sq(0.0, 0.0, math.pi / 6))
+
+    def test_off_sphere_point_rejected(self):
+        with pytest.raises(InvalidConfig, match="must lie on the unit sphere"):
+            st.two_circle_snr_sq(0.9, 0.9, math.pi / 6)
+        with pytest.raises(InvalidConfig, match="must lie on the unit sphere"):
+            st.two_circle_snr_sq(np.array([0.0, 0.9, 0.6]), np.array([0.6, 0.9, 0.0]), math.pi / 6)
+
+    def test_points_on_the_unit_circle_accepted(self):
+        """(1, 0) and a normalized point whose x^2 + y^2 reads a few ulp above 1."""
+        assert st.two_circle_snr_sq(1.0, 0.0, math.pi / 6) == 0.0
+        x = math.nextafter(1.0, 2.0)
+        assert x * x > 1.0
+        assert math.isfinite(st.two_circle_snr_sq(x, 0.0, math.pi / 6))
+        assert np.isfinite(st.two_circle_snr_sq(np.array([x, 0.6]), np.array([0.0, 0.8]), math.pi / 6)).all()
 
     def test_half_angle_domain(self):
         with pytest.raises(InvalidConfig, match="half_angle must lie strictly inside"):
@@ -164,3 +177,56 @@ class TestPolarParams:
     def test_xy_conversion(self):
         p = oracles.PolarParams(half_angle=math.pi / 6, radial=0.6, azimuth=0.0)
         assert p.to_xy() == (0.0, 0.6)
+
+
+class TestArrayArguments:
+    """Each closed form on arrays equals its scalar calls element by element, bit for bit."""
+
+    def test_two_circle_on_a_grid(self):
+        xs = np.linspace(-0.7, 0.7, 15)
+        ys = np.linspace(-0.7, 0.7, 15)[:, None]  # holds 0, so the grid holds x = y = 0
+        for alpha in (math.pi / 12, math.pi / 6, math.pi / 5):
+            got = st.two_circle_snr_sq(xs, ys, alpha)
+            assert got.shape == (15, 15)
+            want = np.array([[st.two_circle_snr_sq(x, y, alpha) for x in xs] for y in ys[:, 0]])
+            np.testing.assert_array_equal(got, want)
+            assert math.isnan(got[7, 7])
+
+    def test_two_circle_on_random_sphere_points(self):
+        w = np.random.default_rng(4).standard_normal((1000, 3))
+        w /= np.sqrt(np.vecdot(w, w))[:, None]
+        got = st.two_circle_snr_sq(w[:, 0], w[:, 1], math.pi / 6)
+        want = [st.two_circle_snr_sq(x, y, math.pi / 6) for x, y in w[:, :2]]
+        assert (got == want).all()
+
+    def test_scalar_call_returns_a_float(self):
+        assert isinstance(st.two_circle_snr_sq(0.1, 0.2, math.pi / 6), float)
+        assert isinstance(st.central_meridian_snr(0.5, math.pi / 6), float)
+        assert isinstance(st.factorization_residual(0.1, 0.3), float)
+
+    def test_central_meridian(self):
+        radii = np.linspace(0.0, 1.0, 101).reshape(101, 1) * np.ones(3)
+        got = st.central_meridian_snr(radii, math.pi / 6)
+        assert got.shape == (101, 3)
+        assert (got == np.array([[st.central_meridian_snr(r, math.pi / 6) for r in row]
+                                 for row in radii])).all()
+        with pytest.raises(InvalidConfig, match="radial must lie in"):
+            st.central_meridian_snr(np.array([0.5, 1.5]), math.pi / 6)
+
+    def test_factorization_residual(self):
+        u = np.random.default_rng(3).random((2000, 2))
+        r = 0.4999 * u[:, 0]
+        s = r * u[:, 1]
+        got = st.factorization_residual(s, r)
+        assert (got == [st.factorization_residual(a, b) for a, b in zip(s, r)]).all()
+        grid = st.factorization_residual(np.array([0.0, 0.1, 0.2]), np.array([[0.2], [0.3]]))
+        assert grid.shape == (2, 3)
+        assert grid[0, 2] == 0.0
+        with pytest.raises(InvalidConfig, match="need 0 <= S <= R < 1/2"):
+            st.factorization_residual(np.array([0.1, 0.4]), 0.3)
+
+    def test_negative_control_on_arrays(self):
+        s, r = np.array([0.0, 0.1, 0.2]), np.array([0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(oracles.factorization_residual_shifted(s, r, 0.0),
+                                      st.factorization_residual(s, r))
+        assert (np.abs(oracles.factorization_residual_shifted(s[1:], r[1:])) > 1e-12).all()

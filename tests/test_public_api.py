@@ -51,6 +51,22 @@ def test_every_error_type_is_caught_inside_the_package():
     assert sorted(defined - caught) == []
 
 
+def test_every_error_type_exits_through_main():
+    """Each class `sgdtherm.errors` defines is named in an `except` clause of `cli.main`.
+
+    Every error type is a reason the command line exits 2; a value that does
+    not exist is NaN, not an exception that some other caller catches.
+    """
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {name.id for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)
+              for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+    assert defined
+    assert sorted(defined - caught) == []
+
+
 def test_no_raise_names_a_builtin_exception():
     """Every `raise` in the package names a type of `sgdtherm.errors`, or re-raises.
 
