@@ -31,7 +31,6 @@ import configparser
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -414,6 +413,10 @@ def run_grid(cfg: ExperimentConfig, out_dir: str | Path | None = None, jobs: int
     # more than there are learning rates to run.
     workers = min(jobs, n)
     if workers > 1:
+        # Imported here: a process pool pulls in multiprocessing, which
+        # `--jobs 1`, `analyze` and `verify-oracles` never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         groups = [range(g, n, workers) for g in range(workers)]
         results = [None] * n
         with ProcessPoolExecutor(max_workers=workers) as pool:

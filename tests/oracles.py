@@ -31,6 +31,7 @@ from sgdtherm import (
     two_circle_snr_sq,
 )
 from sgdtherm.cli import OracleCheck
+from sgdtherm.entropy import _TILE_ROWS, _principal_projections
 from sgdtherm.errors import InvalidConfig, MissingData, NonFinite, ZeroVector
 
 
@@ -273,28 +274,41 @@ def degenerate_edge_count(samples, k: int) -> int:
 def squared_distances_one_block(samples) -> np.ndarray:
     """The whole N x N squared-distance matrix as the package's row tiles compute it.
 
-    On mean-centered samples c with squared row norms sq: the product of the
+    The mean-centered samples c are put in the kernel's point order (by
+    projection on their principal axis, unless every point is equal), and
+    with squared row norms sq each block of 32 rows is one product of the
     rows [sq_i, 1, c_i] with the columns [1, sq_j, -2 c_j], not clamped, with
-    an `inf` diagonal.
+    an `inf` diagonal.  The blocks are the kernel's: a one-row last block
+    joins the block before it.  Rows and columns stay in that point order.
     """
     x = np.asarray(samples, dtype=float)
     centered = x - x.mean(axis=0)
+    proj = _principal_projections(centered)
+    if proj is not None:
+        centered = centered[np.argsort(proj)]
+    n = x.shape[0]
     sq = np.einsum("ij,ij->i", centered, centered)
-    ones = np.ones(x.shape[0])
-    d2 = np.column_stack((sq, ones, centered)) @ np.vstack((ones, sq, -2.0 * centered.T))
+    ones = np.ones(n)
+    left = np.column_stack((sq, ones, centered))
+    right = np.vstack((ones, sq, -2.0 * centered.T))
+    bounds = list(range(0, n, min(_TILE_ROWS, n))) + [n]
+    if bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    d2 = np.vstack([left[start:stop] @ right for start, stop in zip(bounds[:-1], bounds[1:])])
     np.fill_diagonal(d2, np.inf)
     return d2
 
 
 def knn_edge_length_one_block(samples, k: int) -> float:
-    """k-NN total edge length from the whole N x N squared-distance matrix at once.
+    """k-NN total edge length from the whole N x N squared-distance matrix, without pruning.
 
-    The same operations, in the same order, as the package's row tiles:
-    `squared_distances_one_block`, a partition per row at k - 1, then clamp
-    at 0, sqrt and sum over the (N, k) block of neighbor distances.
+    Every row of `squared_distances_one_block` is partitioned whole at
+    k - 1; each row's k smallest values are sorted, clamped at 0 and
+    square-rooted, and the (N, k) block is summed: the package's canonical
+    sum, so its slab-pruned kernel must give the same bits.
     """
     block = np.partition(squared_distances_one_block(samples), k - 1, axis=1)[:, :k]
-    return float(np.sqrt(np.maximum(block, 0.0)).sum())
+    return float(np.sqrt(np.maximum(np.sort(block, axis=1), 0.0)).sum())
 
 
 def knn_edge_length_brute_force(samples, k: int) -> float:

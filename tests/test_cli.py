@@ -1,7 +1,11 @@
+import concurrent.futures
 import math
 import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -498,7 +502,7 @@ class TestRunGrid:
                 mapped.extend(list(group) for group in index_groups)
                 return map(fn, cfgs, index_groups)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         out1 = run_grid(cfg, out_dir=tmp_path / "serial", jobs=1)
         assert requested == mapped == []
         out2 = run_grid(cfg, out_dir=tmp_path / "pooled", jobs=jobs)
@@ -506,6 +510,19 @@ class TestRunGrid:
         assert mapped == groups
         for f1 in sorted(out1.glob("*.csv")):
             assert f1.read_bytes() == (out2 / f1.name).read_bytes()
+
+    def test_cli_import_loads_no_process_pool(self):
+        """Only `run --jobs N` with N > 1 starts a pool, so importing the CLI (all
+        that `run --jobs 1`, `analyze` and `verify-oracles` need) loads no multiprocessing."""
+        code = ("import sys, sgdtherm.cli\n"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+                " if m in sys.modules))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(st.__file__).parents[1]), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "[]\n"
 
     def test_failed_chain_creates_no_directory(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path, TOY_OP_SMALL))

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import sgdtherm as st
-from sgdtherm import sphere
+from sgdtherm import entropy, sphere
 from sgdtherm.errors import InvalidConfig, NonFinite
 
 TILE_K = 5
@@ -28,6 +28,19 @@ def zero_edge_slack(x, k):
     zero_edges = np.minimum(counts[inverse.ravel()] - 1, k).sum()
     norms = np.linalg.norm(x - x.mean(axis=0), axis=1)
     return zero_edges * 2.0 * np.sqrt((x.shape[1] + 1) * np.finfo(float).eps) * norms.max()
+
+
+def record_selection_widths(monkeypatch):
+    """The number of columns of every block the k-NN kernel selects from, in call order."""
+    widths = []
+    real = entropy._select
+
+    def recording(block, k):
+        widths.append(block.shape[1])
+        return real(block, k)
+
+    monkeypatch.setattr(entropy, "_select", recording)
+    return widths
 
 
 class TestTotalEdgeLength:
@@ -61,21 +74,37 @@ class TestTotalEdgeLength:
         with pytest.raises(InvalidConfig):
             st.knn_total_edge_length(np.random.default_rng(0).standard_normal((10, 2)), k)
 
-    @pytest.mark.parametrize("cloud", ["uniform", "concentrated_far", "duplicated_rows"])
+    @pytest.mark.parametrize("cloud", ["uniform", "concentrated_far", "duplicated_rows",
+                                       "walk_origin", "walk_far", "all_equal"])
     @pytest.mark.parametrize("dim", [2, 3, 10])
-    @pytest.mark.parametrize("n", [TILE_K + 1, 31, 32, 33, 65, 1000, 2049])
+    @pytest.mark.parametrize("n", [TILE_K + 1, 31, 32, 33, 65, 333, 500, 1000, 1500, 2049])
     def test_row_tiles_match_one_block(self, n, dim, cloud):
-        """Tiles of 32 rows reproduce the whole-matrix formula exactly, at every boundary."""
-        rng = np.random.default_rng(1000 * n + dim)
-        x = rng.uniform(-1.0, 1.0, size=(n, dim))
-        if cloud == "concentrated_far":
-            x = 1e-4 * x + 1e3 * rng.standard_normal(dim)
-        elif cloud == "duplicated_rows":
-            x[1::3] = x[rng.integers(0, n, size=x[1::3].shape[0])]
-        tiled = st.knn_total_edge_length(x, TILE_K)
-        assert tiled == oracles.knn_edge_length_one_block(x, TILE_K)
-        np.testing.assert_allclose(tiled, oracles.knn_edge_length_brute_force(x, TILE_K),
-                                   rtol=1e-12, atol=zero_edge_slack(x, TILE_K))
+        """The slab-pruned tiles give the bits of every tile partitioned over its whole row.
+
+        The one-block reference multiplies the same 32-row blocks in the
+        same point order and sums each row's k values sorted, so `==` holds
+        whatever the BLAS does with a whole-matrix product, at every tile
+        boundary and for four draws of each cloud.  The first draw must also
+        meet the brute-force tolerance.
+        """
+        for seed in range(4):
+            rng = np.random.default_rng(1000 * n + dim + 10_000_000 * seed)
+            x = rng.uniform(-1.0, 1.0, size=(n, dim))
+            if cloud == "concentrated_far":
+                x = 1e-4 * x + 1e3 * rng.standard_normal(dim)
+            elif cloud == "duplicated_rows":
+                x[1::3] = x[rng.integers(0, n, size=x[1::3].shape[0])]
+            elif cloud.startswith("walk"):
+                x = np.cumsum(1e-3 * rng.standard_normal((n, dim)), axis=0)
+                if cloud == "walk_far":
+                    x += 1e3
+            elif cloud == "all_equal":
+                x[:] = x[0]
+            tiled = st.knn_total_edge_length(x, TILE_K)
+            assert tiled == oracles.knn_edge_length_one_block(x, TILE_K)
+            if seed == 0:
+                np.testing.assert_allclose(tiled, oracles.knn_edge_length_brute_force(x, TILE_K),
+                                           rtol=1e-12, atol=zero_edge_slack(x, TILE_K))
 
     def test_near_duplicates_far_from_origin_are_clamped(self):
         """Rounding puts some near-coincident rows below 0; the clamp keeps every edge finite.
@@ -108,12 +137,19 @@ class TestTotalEdgeLength:
                 st.knn_entropy(x, TILE_K)
 
     def test_result_does_not_depend_on_blas_threads(self):
-        """One BLAS thread and OpenBLAS's default thread count give the same bits."""
+        """One BLAS thread and OpenBLAS's default thread count give the same bits.
+
+        Two Gaussian clouds, whose tiles mostly select from whole rows, and the
+        windows of a converging toy_op chain, whose tiles select from slabs.
+        """
         code = (
             "import numpy as np, sgdtherm as st\n"
             "rng = np.random.default_rng(8)\n"
             "for dim in (3, 10):\n"
             "    print(st.knn_total_edge_length(rng.standard_normal((1000, dim)), 50).hex())\n"
+            "cfg = st.SgdConfig(total_iters=3000, loss_stop_threshold=1e-16)\n"
+            "log = st.run_seeded(st.make_toy_op(), cfg, [4.8e-3], [3])[0]\n"
+            "print(*(s.hex() for s in log.entropies))\n"
         )
         env = {key: value for key, value in os.environ.items()
                if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -124,12 +160,53 @@ class TestTotalEdgeLength:
                            text=True, check=True, timeout=120).stdout
             for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
         ]
-        assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
+        assert outputs[0] == outputs[1] and len(outputs[0].split()) >= 2 + 5  # clouds, windows
 
     def test_duplicates_counted_not_fatal(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert oracles.degenerate_edge_count(x, 1) == 2  # the coincident pair, both directions
         assert st.knn_total_edge_length(x, 1) > 0.0
+
+    @pytest.mark.parametrize("width", [51, 400, 401, 1000])
+    def test_selection_is_sorted_on_both_sides_of_the_sort_limit(self, width):
+        """Each row's k values come out in ascending order whether its block is sorted
+        whole (up to 8k columns) or partitioned first, so the sum does not depend on
+        where a slab ended.
+
+        At k = 50 a partition alone leaves the first k values sorted in most rows but
+        not all, so 1000 rows show a missing sort.
+        """
+        block = np.random.default_rng(width).standard_normal((1000, width))
+        expected = np.sort(block, axis=1)[:, :50]
+        assert np.array_equal(entropy._select(block, 50), expected)
+
+    def test_cloud_without_long_axis_falls_back_to_whole_rows(self, monkeypatch):
+        """A D = 10 Gaussian cloud has no long axis: the first tile's reach spans more
+        than half the window, so it and every later tile select from whole rows."""
+        widths = record_selection_widths(monkeypatch)
+        x = np.random.default_rng(9).standard_normal((1000, 10))
+        assert st.knn_total_edge_length(x, 50) == oracles.knn_edge_length_one_block(x, 50)
+        assert widths[0] < 500 and widths[1:] == [1000] * 32
+
+    @pytest.mark.parametrize("scale", [1e-87, 1e-160])
+    def test_window_settling_on_a_pole_is_exact(self, scale):
+        """A chain settling on the pole (0, 0, 1) spreads in-plane by as little as
+        `scale`; at 1e-160 the squared distances underflow to subnormals."""
+        rng = np.random.default_rng(3)
+        x = np.zeros((1000, 3))
+        x[:, :2] = scale * np.cumsum(rng.standard_normal((1000, 2)), axis=0)
+        x[:, 2] = 1.0
+        assert st.knn_total_edge_length(x, 50) == oracles.knn_edge_length_one_block(x, 50)
+
+    def test_slab_widens_to_neighbors_beyond_it(self, monkeypatch):
+        """On a circle the two arcs interleave along the principal axis, so a tile's
+        k nearest neighbors lie beyond tile +- k: every tile selects from a second,
+        wider slab, still under half the window, and the bits stay those of whole rows."""
+        widths = record_selection_widths(monkeypatch)
+        t = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
+        x = np.column_stack((np.cos(t), np.sin(t)))
+        assert st.knn_total_edge_length(x, 50) == oracles.knn_edge_length_one_block(x, 50)
+        assert len(widths) == 2 * 32 and max(widths) < 500
 
 
 class TestKnnEntropy:
@@ -258,9 +335,35 @@ class TestEngineWindows:
         if case == "toy_op_loss_stop":
             assert logs[0].stopped_early
         for x, k in windows:
+            assert st.knn_total_edge_length(x, k) == oracles.knn_edge_length_one_block(x, k)
             np.testing.assert_allclose(st.knn_total_edge_length(x, k),
                                        oracles.knn_edge_length_brute_force(x, k),
                                        rtol=1e-12, atol=zero_edge_slack(x, k))
+
+    def test_converging_windows_take_the_pruned_path(self, toy_op, monkeypatch):
+        """Every window of a converging chain selects from slabs narrower than half the window.
+
+        A converging chain is one stretch of a trajectory, so each point's
+        neighbors lie close to it along the principal axis; no tile of these
+        windows should fall back to whole rows.  Each window still gives the
+        bits of every tile partitioned over its whole row.
+        """
+        windows = []
+        real = sphere.knn_entropy
+
+        def recording(samples, k, *args):
+            windows.append((np.array(samples), k))
+            return real(samples, k, *args)
+
+        monkeypatch.setattr(sphere, "knn_entropy", recording)
+        cfg = st.SgdConfig(total_iters=3000, loss_stop_threshold=1e-16)
+        st.run_seeded(toy_op, cfg, [4.8e-3], [3])
+        assert len(windows) >= 5
+        widths = record_selection_widths(monkeypatch)
+        for x, k in windows:
+            widths.clear()
+            assert st.knn_total_edge_length(x, k) == oracles.knn_edge_length_one_block(x, k)
+            assert len(widths) >= 32 and max(widths) < x.shape[0] / 2
 
 
 class TestEntropyConfig:
