@@ -65,7 +65,7 @@ class HyperplaneEnsemble:
         """Full loss at w, or one loss per row of stacked (L, D) weights."""
         a = np.matvec(self.normals, w)
         sq = np.vecdot(w, w)
-        if np.any(sq < 1e-300):
+        if (sq < 1e-300).any():
             raise ZeroVector("loss undefined at the origin")
         return np.vecdot(a, a) / (2.0 * sq * len(self))
 

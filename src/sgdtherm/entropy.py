@@ -21,10 +21,9 @@ are all equal has no axis and keeps its order).  The N x N distance matrix
 is never formed.  It is walked in tiles of 32 rows, which stay in L2 cache:
 each tile is one product of 32 left rows with the whole right factor,
 written into one buffer that every tile reuses.  At the default window that
-product is small enough that OpenBLAS runs it single-threaded on whichever
-thread calls the estimator (`sphere.run_seeded` calls it from several
-threads at once), so a window's result does not depend on the thread.  Each
-row gets an `inf` diagonal.
+product is small enough that OpenBLAS runs it single-threaded, so a
+window's result does not depend on the BLAS thread count.  Each row gets an
+`inf` diagonal.
 
 Selection is pruned to a slab.  A stretch of trajectory has each point's
 neighbors close to it along the axis, so a tile first selects from only the

@@ -12,16 +12,14 @@ each own a learning rate and a seed, as one (L, D) array.  Each row gets the
 same BLAS kernels on the same shapes as a chain run alone, so a chain's log
 does not depend on which chains run beside it.
 
-The k-NN entropy windows of the chains are independent and take most of a
-run's time, so a checkpoint's windows run on a pool of one thread per CPU
-the process may run on, at most one per chain.  Every window runs the same
-code on the same data, whichever thread takes it.
+The k-NN entropy windows take most of a run's time.  They run in chain
+order on the calling thread: each numpy call of a window takes only tens
+of microseconds, too short for threads to overlap under the interpreter
+lock, so a thread pool costs more CPU than it saves in wall time.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,13 +167,6 @@ def _ring_window(ring_row: np.ndarray, t: int) -> np.ndarray:
     return np.roll(ring_row[:t], -t, axis=0)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _trajectory_log(lr: float, points: list[tuple], entropies: list[tuple],
                     snapshots: np.ndarray, stopped: bool) -> TrajectoryLog:
     """One chain's log from its checkpoint rows (t, loss, |g|, mean |g_i|, snr) and (t, entropy) pairs."""
@@ -222,14 +213,9 @@ def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[Traject
     for a window collapsed to one point), and the window at the final
     iteration is returned as `snapshots`.
 
-    A checkpoint's windows (and those of a loss-stop step) run on a thread
-    pool of min(cpus, chains) threads, which start on the first window and
-    are joined before this returns or raises.  The calling thread makes each
-    window's chronological copy before it submits the window, so the pool
-    threads read only their own copies, never the ring.  It then waits once
-    for all of a checkpoint's windows, then reads them in order, so a window
-    that raises does so only after the others have finished.  The logs do not
-    depend on the number of threads.
+    A checkpoint's windows (and those of a loss-stop step) run in chain
+    order on the calling thread, one `knn_entropy` call per window, so the
+    first window that raises does so before any later one runs.
     """
     lrs, seeds = list(lrs), list(seeds)
     inits = [None] * len(lrs) if inits is None else list(inits)
@@ -262,8 +248,7 @@ def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[Traject
     ends: list[tuple | None] = [None] * len(lrs)  # each chain's (final window, stopped early)
 
     batch_grad, full_loss = ensemble.batch_grad, ensemble.full_loss
-    with ThreadPoolExecutor(min(_cpus(), len(lrs))) as pool, \
-            np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         t = 0
         while rows and t < cfg.total_iters:
             steps = min(_BLOCK_STEPS, cfg.total_iters - t)
@@ -272,7 +257,7 @@ def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[Traject
                 t += 1
                 v = w - lr * batch_grad(batches[:, j], w)
                 nrm = np.sqrt(np.vecdot(v, v))
-                if np.any(nrm < _NORM_FLOOR):
+                if (nrm < _NORM_FLOOR).any():
                     raise ZeroVector(f"weights collapsed to zero at iteration {t}")
                 w = v / nrm[:, None]
                 ring[:, (t - 1) % cfg.window] = w
@@ -293,10 +278,8 @@ def run_seeded(ensemble, cfg: SgdConfig, lrs, seeds, inits=None) -> list[Traject
                 for r, *row in zip(due, loss[due], stats.full_grad_norm, stats.mean_stoch_norm, stats.snr):
                     points[rows[r]].append((t, *row))
                 if t >= cfg.window:
-                    windows = [pool.submit(knn_entropy, _ring_window(ring[r], t), cfg.k) for r in due]
-                    wait(windows)  # one wake-up per checkpoint, not one per window
-                    for r, window in zip(due, windows):
-                        entropies[rows[r]].append((t, window.result()))
+                    for r in due:
+                        entropies[rows[r]].append((t, knn_entropy(_ring_window(ring[r], t), cfg.k)))
                 if stop.any():
                     for r in np.flatnonzero(stop):
                         ends[rows[r]] = (_ring_window(ring[r], t), True)

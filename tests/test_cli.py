@@ -513,9 +513,10 @@ class TestRunGrid:
 
     def test_cli_import_loads_no_process_pool(self):
         """Only `run --jobs N` with N > 1 starts a pool, so importing the CLI (all
-        that `run --jobs 1`, `analyze` and `verify-oracles` need) loads no multiprocessing."""
+        that `run --jobs 1`, `analyze` and `verify-oracles` need) loads neither
+        multiprocessing nor concurrent.futures."""
         code = ("import sys, sgdtherm.cli\n"
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
                 " if m in sys.modules))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

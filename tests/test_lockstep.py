@@ -3,12 +3,10 @@
 Every chain that `run_seeded` advances beside others must log exactly what
 the reference logs for it alone: every TrajectoryLog field is compared with
 `array_equal`, whatever the batch size, early stops, starts, block size or
-company of the chain, and whatever the number of threads its k-NN
-entropy windows run on.
+company of the chain.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from typing import NamedTuple
 
@@ -102,82 +100,53 @@ class TestParityWithReference:
             assert_logs_equal(st.run_seeded(toy_op, *chain)[0], log)
 
 
-@pytest.fixture
-def force_cpus(monkeypatch):
-    """Make the engine see n CPUs, whatever the host has."""
-    def force(n):
-        monkeypatch.setattr(sphere.os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-    return force
-
-
-class TestWindowThreads:
-    """A checkpoint's windows run on a pool of min(cpus, chains) threads that lives for one call."""
+class TestWindowsOnTheCallingThread:
+    """A checkpoint's windows run in chain order on the calling thread, one call each."""
 
     @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
-    def test_logs_do_not_depend_on_the_cpu_count(self, request, monkeypatch, force_cpus, case):
+    def test_every_window_runs_on_the_calling_thread(self, request, monkeypatch, case):
         ensemble, grid = {
             "toy_up": (request.getfixturevalue("toy_up"), UP_CHAINS),
             "toy_op_loss_stop": (request.getfixturevalue("toy_op"), OP_CHAINS),
             "d10_batch_eight": (st.random_hyperplane_ensemble(10, 30, seed=3), D10_CHAINS),
         }[case]
-        want = [oracles.run_chain_reference(ensemble, grid.cfg, lr, seed)
-                for lr, seed in zip(grid.lrs, grid.seeds)]
-        threads = set()
-        real = sphere.knn_entropy
+        caller, before = threading.get_ident(), threading.active_count()
+        seen, real = [], sphere.knn_entropy
 
-        def recording(*args):
-            threads.add(threading.get_ident())
-            return real(*args)
+        def recording(window, k):
+            seen.append((threading.get_ident(), threading.active_count(), window.shape))
+            return real(window, k)
 
         monkeypatch.setattr(sphere, "knn_entropy", recording)
-        for n in (1, 2, 5):
-            force_cpus(n)
-            threads.clear()
-            for got, ref in zip(st.run_seeded(ensemble, *grid), want):
-                assert_logs_equal(got, ref)
-            assert threading.get_ident() not in threads
-            assert min(n, 2) <= len(threads) <= min(n, len(grid.lrs))
+        logs = st.run_seeded(ensemble, *grid)
+        assert len(seen) == sum(log.entropies.size for log in logs) > 0
+        assert set(seen) == {(caller, before, (grid.cfg.window, ensemble.dim))}
+        assert threading.active_count() == before
 
     class WindowFailed(Exception):
         pass
 
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_no_thread_outlives_the_call(self, toy_up, force_cpus, n):
-        force_cpus(n)
-        before = threading.active_count()
-        st.run_seeded(toy_up, *UP_CHAINS)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_no_thread_outlives_a_failing_window(self, toy_up, monkeypatch, force_cpus, n):
-        force_cpus(n)
-        before = threading.active_count()
-        real, lock, calls = sphere.knn_entropy, threading.Lock(), [0]
+    def test_first_failing_window_raises(self, toy_up, monkeypatch):
+        real, calls = sphere.knn_entropy, []
 
         def third_call_raises(*args):
-            with lock:
-                calls[0] += 1
-                call = calls[0]
-            if call == 3:
+            calls.append(args)
+            if len(calls) == 3:
                 raise self.WindowFailed("injected")
             return real(*args)
 
         monkeypatch.setattr(sphere, "knn_entropy", third_call_raises)
         with pytest.raises(self.WindowFailed):
             st.run_seeded(toy_up, *UP_CHAINS)
-        assert threading.active_count() == before
+        assert len(calls) == 3  # no window runs after the one that raised
 
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_no_thread_outlives_a_failing_chain(self, toy_up, monkeypatch, force_cpus, n):
+    def test_non_finite_after_a_round_of_windows_raises(self, toy_up, monkeypatch):
         """One chain's gradient norm turns non-finite at the first checkpoint after one full round of windows."""
-        force_cpus(n)
-        before = threading.active_count()
         real_stats, real_entropy = sphere.gradient_stats, sphere.knn_entropy
         windows = []
 
         def counted(*args):
-            windows.append(threading.get_ident())
+            windows.append(args)
             return real_entropy(*args)
 
         def nan_after_a_round(ensemble, w):
@@ -192,34 +161,7 @@ class TestWindowThreads:
         monkeypatch.setattr(sphere, "gradient_stats", nan_after_a_round)
         with pytest.raises(NonFinite):
             st.run_seeded(toy_up, *UP_CHAINS)
-        assert len(windows) == len(UP_CHAINS.lrs) and len(set(windows)) > 1
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("n, grid, size", [
-        (1, UP_CHAINS, 1),
-        (2, UP_CHAINS.head(1), 1),
-        (2, UP_CHAINS, 2),
-        (5, UP_CHAINS, 4),
-        (5, UP_CHAINS.head(3), 3),
-    ], ids=["one-cpu", "one-chain", "two-cpus", "five-cpus", "five-cpus-three-chains"])
-    def test_pool_size(self, toy_up, monkeypatch, force_cpus, n, grid, size):
-        """One pool of min(cpus, chains) threads per call, shut down before the call returns."""
-        force_cpus(n)
-        made, shut = [], []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-                self.size = max_workers
-
-            def shutdown(self, *args, **kwargs):
-                super().shutdown(*args, **kwargs)
-                shut.append(self.size)
-
-        monkeypatch.setattr(sphere, "ThreadPoolExecutor", RecordingPool)
-        st.run_seeded(toy_up, replace(grid.cfg, total_iters=300), grid.lrs, grid.seeds)
-        assert made == shut == [size]
+        assert len(windows) == len(UP_CHAINS.lrs)
 
 
 class TestBlockSampling:
