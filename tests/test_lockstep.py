@@ -3,9 +3,10 @@
 Every chain that `run_seeded` advances beside others must log exactly what
 the reference logs for it alone: every TrajectoryLog field is compared with
 `array_equal`, whatever the batch size, early stops, starts, block size or
-company of the chain.
+company of the chain, and whatever number of CPUs the host reports.
 """
 
+import os
 import threading
 from dataclasses import fields, replace
 from typing import NamedTuple
@@ -100,16 +101,27 @@ class TestParityWithReference:
             assert_logs_equal(st.run_seeded(toy_op, *chain)[0], log)
 
 
-class TestWindowsOnTheCallingThread:
-    """A checkpoint's windows run in chain order on the calling thread, one call each."""
+@pytest.fixture
+def force_cpus(monkeypatch):
+    """Make the host report n CPUs to anything that asks `os`."""
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+    return force
+
+
+class TestWindowThreads:
+    """A checkpoint's windows run in chain order on the calling thread, whatever the CPU count."""
 
     @pytest.mark.parametrize("case", ["toy_up", "toy_op_loss_stop", "d10_batch_eight"])
-    def test_every_window_runs_on_the_calling_thread(self, request, monkeypatch, case):
+    def test_logs_do_not_depend_on_the_cpu_count(self, request, monkeypatch, force_cpus, case):
         ensemble, grid = {
             "toy_up": (request.getfixturevalue("toy_up"), UP_CHAINS),
             "toy_op_loss_stop": (request.getfixturevalue("toy_op"), OP_CHAINS),
             "d10_batch_eight": (st.random_hyperplane_ensemble(10, 30, seed=3), D10_CHAINS),
         }[case]
+        want = [oracles.run_chain_reference(ensemble, grid.cfg, lr, seed)
+                for lr, seed in zip(grid.lrs, grid.seeds)]
         caller, before = threading.get_ident(), threading.active_count()
         seen, real = [], sphere.knn_entropy
 
@@ -118,15 +130,30 @@ class TestWindowsOnTheCallingThread:
             return real(window, k)
 
         monkeypatch.setattr(sphere, "knn_entropy", recording)
-        logs = st.run_seeded(ensemble, *grid)
-        assert len(seen) == sum(log.entropies.size for log in logs) > 0
-        assert set(seen) == {(caller, before, (grid.cfg.window, ensemble.dim))}
-        assert threading.active_count() == before
+        for n in (1, 2, 5):
+            force_cpus(n)
+            seen.clear()
+            logs = st.run_seeded(ensemble, *grid)
+            for got, ref in zip(logs, want):
+                assert_logs_equal(got, ref)
+            assert len(seen) == sum(log.entropies.size for log in logs) > 0
+            assert set(seen) == {(caller, before, (grid.cfg.window, ensemble.dim))}
+            assert threading.active_count() == before
 
     class WindowFailed(Exception):
         pass
 
-    def test_first_failing_window_raises(self, toy_up, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_thread_outlives_the_call(self, toy_up, force_cpus, n):
+        force_cpus(n)
+        before = threading.active_count()
+        st.run_seeded(toy_up, *UP_CHAINS)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_thread_outlives_a_failing_window(self, toy_up, monkeypatch, force_cpus, n):
+        force_cpus(n)
+        before = threading.active_count()
         real, calls = sphere.knn_entropy, []
 
         def third_call_raises(*args):
@@ -139,14 +166,18 @@ class TestWindowsOnTheCallingThread:
         with pytest.raises(self.WindowFailed):
             st.run_seeded(toy_up, *UP_CHAINS)
         assert len(calls) == 3  # no window runs after the one that raised
+        assert threading.active_count() == before
 
-    def test_non_finite_after_a_round_of_windows_raises(self, toy_up, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_thread_outlives_a_failing_chain(self, toy_up, monkeypatch, force_cpus, n):
         """One chain's gradient norm turns non-finite at the first checkpoint after one full round of windows."""
+        force_cpus(n)
+        before = threading.active_count()
         real_stats, real_entropy = sphere.gradient_stats, sphere.knn_entropy
         windows = []
 
         def counted(*args):
-            windows.append(args)
+            windows.append(threading.get_ident())
             return real_entropy(*args)
 
         def nan_after_a_round(ensemble, w):
@@ -161,7 +192,8 @@ class TestWindowsOnTheCallingThread:
         monkeypatch.setattr(sphere, "gradient_stats", nan_after_a_round)
         with pytest.raises(NonFinite):
             st.run_seeded(toy_up, *UP_CHAINS)
-        assert len(windows) == len(UP_CHAINS.lrs)
+        assert windows == [threading.get_ident()] * len(UP_CHAINS.lrs)
+        assert threading.active_count() == before
 
 
 class TestBlockSampling:
