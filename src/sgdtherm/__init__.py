@@ -13,7 +13,6 @@ from .analysis import (
     StationaryEstimate,
     TemperatureCurve,
     TemperatureInterval,
-    estimate_temperature_interval,
     extract_stationary,
     finite_difference_temperature,
     fit_power_law,

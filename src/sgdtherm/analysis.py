@@ -3,9 +3,11 @@
 The pipeline runs a grid of learning rates, reduces each trajectory to a
 stationary (loss, entropy) pair, and asks for which temperatures T the free
 energy  F(lr) = loss(lr) - T * entropy(lr)  is minimized (up to a slack
-epsilon) at a given learning rate.  Each other learning rate contributes one
-half-line constraint on T, so the answer is an exact interval computed in
-closed form.  A finite-difference temperature over training time covers the
+epsilon) at a given learning rate.  `select_stationary_range` picks the
+learning rates that enter, with a reason for each one left out.  Each other
+learning rate contributes one half-line constraint on T, so the answer is
+an exact interval, and `temperature_curve` takes all of them in one array
+pass.  A finite-difference temperature over training time covers the
 converging (non-stationary) runs, where the interval protocol does not apply.
 """
 
@@ -45,7 +47,6 @@ class TemperatureInterval:
     lr: float
     t_lo: float
     t_hi: float
-    epsilon: float
     bound_only: bool = False
     empty: bool = False
 
@@ -193,60 +194,43 @@ def _check_sorted_by_lr(estimates) -> None:
         raise InvalidConfig("estimates must be sorted by strictly increasing lr")
 
 
-def estimate_temperature_interval(
-    estimates, target_index: int, epsilon: float
-) -> TemperatureInterval:
-    """Exact interval of T >= 0 with loss* - T*S* <= loss(lr) - T*S(lr) + epsilon for all lr.
-
-    Each learning rate contributes a half-line bound:
-    T >= (loss*-loss-eps)/(S*-S) when S* > S, the mirrored upper bound when
-    S* < S, and a pure feasibility check when the entropies tie.  The result
-    is the intersection, clipped to [0, +inf); infeasible constraint sets
-    yield an interval flagged empty (a reportable value, not an error).
-    """
-    _check_sorted_by_lr(estimates)
-    if epsilon < 0:
-        raise InvalidConfig("epsilon must be >= 0")
-    if not 0 <= target_index < len(estimates):
-        raise InvalidConfig(f"target_index {target_index} out of range")
-    tgt = estimates[target_index]
-    t_lo, t_hi = 0.0, math.inf
-    feasible = True
-    for j, other in enumerate(estimates):
-        if j == target_index:
-            continue
-        d_loss = tgt.loss_mean - other.loss_mean - epsilon
-        d_ent = tgt.entropy_mean - other.entropy_mean
-        if d_ent > 0:
-            t_lo = max(t_lo, d_loss / d_ent)
-        elif d_ent < 0:
-            t_hi = min(t_hi, d_loss / d_ent)
-        elif d_loss > 0:
-            feasible = False
-            break
-    if not feasible or t_lo > t_hi:
-        return TemperatureInterval(tgt.lr, math.nan, math.nan, epsilon, empty=True)
-    return TemperatureInterval(tgt.lr, t_lo, t_hi, epsilon)
-
-
 def temperature_curve(estimates, epsilon: float) -> TemperatureCurve:
     """Per-lr temperature intervals with a monotonicity verdict.
 
-    The first and last learning rates only admit one-sided bounds and are
-    flagged bound-only; the verdict covers the interior: true iff every
-    interior interval is nonempty, midpoints are nondecreasing, and lower
-    endpoints are nondecreasing.
+    The interval at lr i holds every T >= 0 with
+    U_i - T*S_i <= U_j - T*S_j + epsilon for all j.  Each other lr j gives
+    one half-line bound through d_loss = U_i - U_j - epsilon and
+    d_ent = S_i - S_j: T >= d_loss/d_ent when d_ent > 0, T <= d_loss/d_ent
+    when d_ent < 0, and no T at all when the entropies tie and d_loss > 0.
+    All n x n bounds are taken in one array pass; the diagonal gives none,
+    as its d_ent is 0 and its d_loss is -epsilon <= 0.  An infeasible set of
+    bounds yields an interval flagged empty (a reportable value, not an
+    error).  The first and last learning rates only admit one-sided bounds
+    and are flagged bound-only; the verdict covers the interior: true iff
+    every interior interval is nonempty, midpoints are nondecreasing, and
+    lower endpoints are nondecreasing.
     """
-    if len(estimates) < 3:
-        raise InvalidConfig(f"need >= 3 estimates, got {len(estimates)}")
-    intervals = []
-    for i in range(len(estimates)):
-        iv = estimate_temperature_interval(estimates, i, epsilon)
-        if i in (0, len(estimates) - 1):
-            iv = TemperatureInterval(
-                iv.lr, iv.t_lo, iv.t_hi, iv.epsilon, bound_only=True, empty=iv.empty
-            )
-        intervals.append(iv)
+    n = len(estimates)
+    if n < 3:
+        raise InvalidConfig(f"need >= 3 estimates, got {n}")
+    _check_sorted_by_lr(estimates)
+    if epsilon < 0:
+        raise InvalidConfig("epsilon must be >= 0")
+    u = np.array([e.loss_mean for e in estimates])
+    s = np.array([e.entropy_mean for e in estimates])
+    d_loss = u[:, None] - u[None, :] - epsilon
+    d_ent = s[:, None] - s[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = d_loss / d_ent
+    # Only positive lower bounds beat the clip at 0, so t_lo is never -0.0; of
+    # upper bounds 0.0 and -0.0, the first in lr order is kept.
+    t_lo = np.where((d_ent > 0) & (ratio > 0), ratio, 0.0).max(axis=1)
+    upper = np.where(d_ent < 0, ratio, np.inf)
+    t_hi = upper[np.arange(n), upper.argmin(axis=1)]
+    empty = ((d_ent == 0) & (d_loss > 0)).any(axis=1) | (t_lo > t_hi)
+    t_lo, t_hi = np.where(empty, np.nan, [t_lo, t_hi]).tolist()
+    intervals = [TemperatureInterval(e.lr, lo, hi, bound_only=i in (0, n - 1), empty=em)
+                 for i, (e, lo, hi, em) in enumerate(zip(estimates, t_lo, t_hi, empty.tolist()))]
 
     interior = intervals[1:-1]
     monotone = all(not iv.empty for iv in interior)
@@ -341,37 +325,34 @@ def select_stationary_range(
     baseline_sigma: float = 0.0,
     lr_range: tuple[float, float] | None = None,
 ) -> tuple[list[int], list[tuple[float, str]]]:
-    """Indices retained for temperature estimation, plus (lr, reason) exclusions.
+    """Indices retained for temperature estimation, plus (lr, reason) exclusions in grid order.
 
-    Default heuristic: drop runs that never stabilized, and drop the top of
-    the grid from the first learning rate whose tail entropy is within one
-    combined standard deviation of the uniform-sphere baseline (saturation).
-    An explicit lr_range overrides the heuristic entirely.
+    An estimate without a finite U and S is excluded first and takes no part
+    in the tests below: a finite U with S = -inf is a run that collapsed to a
+    point (zero temperature), any other pair is no stationary estimate.  An
+    explicit lr_range then decides alone.  Without one, the top of the grid
+    is dropped from the first learning rate whose tail entropy is within one
+    combined standard deviation of the uniform-sphere baseline (saturation),
+    and runs that never stabilized are dropped.
     """
     _check_sorted_by_lr(estimates)
-    excluded: list[tuple[float, str]] = []
-    if lr_range is not None:
-        lo, hi = lr_range
-        kept = []
-        for i, e in enumerate(estimates):
-            if lo <= e.lr <= hi:
-                kept.append(i)
-            else:
-                excluded.append((e.lr, "outside configured lr range"))
-        return kept, excluded
-
-    saturated_from = len(estimates)
+    kept, excluded = [], []
+    saturated = False
     for i, e in enumerate(estimates):
-        sigma = math.sqrt(e.entropy_std**2 + baseline_sigma**2)
-        if abs(e.entropy_mean - baseline_entropy) <= sigma:
-            saturated_from = i
-            break
-    kept = []
-    for i, e in enumerate(estimates):
-        if i >= saturated_from:
-            excluded.append((e.lr, "entropy saturated at the uniform-sphere baseline"))
-        elif not e.stabilized:
-            excluded.append((e.lr, "not stabilized"))
+        if not (math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)):
+            collapsed = math.isfinite(e.loss_mean) and e.entropy_mean == -math.inf
+            reason = "collapsed to a point (S = -inf)" if collapsed else "no stationary estimate"
+        elif lr_range is not None:
+            reason = None if lr_range[0] <= e.lr <= lr_range[1] else "outside configured lr range"
         else:
+            saturated = saturated or abs(e.entropy_mean - baseline_entropy) <= math.sqrt(
+                e.entropy_std**2 + baseline_sigma**2)
+            if saturated:
+                reason = "entropy saturated at the uniform-sphere baseline"
+            else:
+                reason = None if e.stabilized else "not stabilized"
+        if reason is None:
             kept.append(i)
+        else:
+            excluded.append((e.lr, reason))
     return kept, excluded

@@ -88,8 +88,10 @@ SUMMARY_COLUMNS = {
 # baseline.csv: one (seed, mean loss, entropy) row per uniform-sphere cloud.
 BASELINE_COLUMNS = ("seed", "U", "S")
 # Columns read back as true/false.  Every other column is read as floats (blank
-# is NaN), and an `iter` column is also checked by `_check_iters`.
+# is NaN); a series file's `iter` and `_FINITE_COLUMNS` are also checked by
+# `_check_iters` and `_check_finite` (its `snr` may be NaN, `entropy` -inf).
 _BOOL_COLUMNS = {"stabilized"}
+_FINITE_COLUMNS = ("loss", "full_grad_norm", "mean_stoch_grad_norm")
 _BOOLS = {"true": True, "false": False}
 
 MODEL_KINDS = ("toy_op", "toy_up", "hyperplane")
@@ -344,6 +346,15 @@ def _check_iters(path: Path, iters: list[float], lines: list[int]) -> None:
         prev = it
 
 
+def _check_finite(path: Path, cols: dict[str, list], lines: list[int]) -> None:
+    """Every `_FINITE_COLUMNS` cell of a series file is finite: the engine raises NonFinite first."""
+    if all(all(map(math.isfinite, cols[c])) for c in _FINITE_COLUMNS):
+        return
+    row, c = np.argwhere(~np.isfinite([cols[c] for c in _FINITE_COLUMNS]).T)[0]  # in file order
+    name = _FINITE_COLUMNS[c]
+    raise MissingData(f"{path}, line {lines[row]}: {name!r} cell {fmt(cols[name][row])} is not finite")
+
+
 def _read_csv(path: Path, columns) -> dict[str, list]:
     """The named columns of a file written by `_write_csv`; any defect is MissingData.
 
@@ -372,8 +383,9 @@ def _read_csv(path: Path, columns) -> dict[str, list]:
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MissingData(f"{path}: {exc}") from exc
     cols = _parse_columns(path, header, columns, rows, lines)
-    if "iter" in cols:
+    if "iter" in cols:  # a series file
         _check_iters(path, cols["iter"], lines)
+        _check_finite(path, cols, lines)
     return cols
 
 
@@ -480,15 +492,9 @@ def reduce_experiment(cfg: ExperimentConfig, estimates: list[StationaryEstimate]
     baseline.csv).  `tables` maps each of the `ANALYSIS_FILES` that has rows
     to its (header, rows).
     """
-    usable = [e for e in estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
     base_s, base_s_std = float(base_ents.mean()), float(base_ents.std(ddof=1))
-
-    kept_idx, exclusions = select_stationary_range(usable, base_s, base_s_std, cfg.lr_range)
-    # A finite U with S = -inf is a run that settled on one point: zero temperature.
-    collapsed = [math.isfinite(e.loss_mean) and e.entropy_mean == -math.inf for e in estimates]
-    exclusions += [(e.lr, "collapsed to a point (S = -inf)" if c else "no stationary estimate")
-                   for e, c in zip(estimates, collapsed) if e not in usable]
-    retained = [usable[i] for i in kept_idx]
+    kept_idx, exclusions = select_stationary_range(estimates, base_s, base_s_std, cfg.lr_range)
+    retained = [estimates[i] for i in kept_idx]
 
     report_lines = [f"epsilon: {fmt(cfg.epsilon)}"]
     report_lines += [f"excluded lr={fmt(lr)}: {reason}" for lr, reason in sorted(exclusions)]
@@ -519,11 +525,12 @@ def reduce_experiment(cfg: ExperimentConfig, estimates: list[StationaryEstimate]
         verdicts["temperature_curve"] = curve
         report_lines.append(f"monotone temperature: {'true' if curve.monotone else 'false'}")
 
-        finite_mids = [iv for iv in curve.intervals if not iv.bound_only and math.isfinite(iv.midpoint)]
+        # The finite interior midpoints, keyed by their position in `smoothed`.
+        finite_mids = {i: iv.midpoint for i, iv in enumerate(curve.intervals)
+                       if not iv.bound_only and math.isfinite(iv.midpoint)}
         consistent = 0
-        for iv in finite_mids:
-            f_vals, argmin = free_energy_curve(smoothed, iv.midpoint)
-            target = next(i for i, e in enumerate(smoothed) if e.lr == iv.lr)
+        for target, t in finite_mids.items():
+            f_vals, argmin = free_energy_curve(smoothed, t)
             if f_vals[target] <= f_vals[argmin] + cfg.epsilon:
                 consistent += 1
         verdicts["free_energy_consistent"] = (consistent, len(finite_mids))
@@ -531,9 +538,8 @@ def reduce_experiment(cfg: ExperimentConfig, estimates: list[StationaryEstimate]
             f"free-energy minima within epsilon at their own lr: {consistent}/{len(finite_mids)}")
 
         if finite_mids:
-            picks = sorted({finite_mids[len(finite_mids) // 4].midpoint,
-                            finite_mids[len(finite_mids) // 2].midpoint,
-                            finite_mids[(3 * len(finite_mids)) // 4].midpoint})
+            mids = list(finite_mids.values())
+            picks = sorted({mids[len(mids) // 4], mids[len(mids) // 2], mids[(3 * len(mids)) // 4]})
             fe_rows = []
             for t in picks:
                 f_vals, argmin = free_energy_curve(smoothed, t)

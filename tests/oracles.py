@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from sgdtherm import (
+    TemperatureInterval,
     TrajectoryLog,
     central_meridian_snr,
     checkpoint_schedule,
@@ -529,3 +530,88 @@ def cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(value)
     return f"{value:.17g}"
+
+
+def temperature_interval_reference(estimates, target_index: int, epsilon: float) -> TemperatureInterval:
+    """Exact interval of T >= 0 with loss* - T*S* <= loss(lr) - T*S(lr) + epsilon for all lr.
+
+    The reference for `analysis.temperature_curve`, one target and one
+    constraint at a time.  Each learning rate contributes a half-line bound:
+    T >= (loss*-loss-eps)/(S*-S) when S* > S, the mirrored upper bound when
+    S* < S, and a pure feasibility check when the entropies tie.  The result
+    is the intersection, clipped to [0, +inf); infeasible constraint sets
+    yield an interval flagged empty.
+    """
+    tgt = estimates[target_index]
+    t_lo, t_hi = 0.0, math.inf
+    feasible = True
+    for j, other in enumerate(estimates):
+        if j == target_index:
+            continue
+        d_loss = tgt.loss_mean - other.loss_mean - epsilon
+        d_ent = tgt.entropy_mean - other.entropy_mean
+        if d_ent > 0:
+            t_lo = max(t_lo, d_loss / d_ent)
+        elif d_ent < 0:
+            t_hi = min(t_hi, d_loss / d_ent)
+        elif d_loss > 0:
+            feasible = False
+            break
+    if not feasible or t_lo > t_hi:
+        return TemperatureInterval(tgt.lr, math.nan, math.nan, empty=True)
+    return TemperatureInterval(tgt.lr, t_lo, t_hi)
+
+
+def temperature_intervals_reference(estimates, epsilon: float) -> list[TemperatureInterval]:
+    """`temperature_interval_reference` at every target, the first and last flagged bound-only."""
+    edges = (0, len(estimates) - 1)
+    return [replace(temperature_interval_reference(estimates, i, epsilon), bound_only=i in edges)
+            for i in range(len(estimates))]
+
+
+def select_stationary_range_reference(estimates, baseline_entropy: float, baseline_sigma: float,
+                                      lr_range=None):
+    """(retained estimates, (lr, reason) exclusions), in two passes.
+
+    The reference for `analysis.select_stationary_range`.  The first pass
+    sets aside every estimate without a finite U and S; the second applies
+    the lr range, or else the saturation scan and the stabilized flag, to the
+    rest alone.  The exclusions of the first pass come last.
+    """
+    usable = [e for e in estimates if math.isfinite(e.loss_mean) and math.isfinite(e.entropy_mean)]
+    kept_idx, exclusions = _select_usable_reference(usable, baseline_entropy, baseline_sigma, lr_range)
+    # A finite U with S = -inf is a run that settled on one point: zero temperature.
+    collapsed = [math.isfinite(e.loss_mean) and e.entropy_mean == -math.inf for e in estimates]
+    exclusions += [(e.lr, "collapsed to a point (S = -inf)" if c else "no stationary estimate")
+                   for e, c in zip(estimates, collapsed) if e not in usable]
+    return [usable[i] for i in kept_idx], exclusions
+
+
+def _select_usable_reference(estimates, baseline_entropy, baseline_sigma, lr_range):
+    """The second pass of `select_stationary_range_reference`, on finite estimates only."""
+    excluded: list[tuple[float, str]] = []
+    if lr_range is not None:
+        lo, hi = lr_range
+        kept = []
+        for i, e in enumerate(estimates):
+            if lo <= e.lr <= hi:
+                kept.append(i)
+            else:
+                excluded.append((e.lr, "outside configured lr range"))
+        return kept, excluded
+
+    saturated_from = len(estimates)
+    for i, e in enumerate(estimates):
+        sigma = math.sqrt(e.entropy_std**2 + baseline_sigma**2)
+        if abs(e.entropy_mean - baseline_entropy) <= sigma:
+            saturated_from = i
+            break
+    kept = []
+    for i, e in enumerate(estimates):
+        if i >= saturated_from:
+            excluded.append((e.lr, "entropy saturated at the uniform-sphere baseline"))
+        elif not e.stabilized:
+            excluded.append((e.lr, "not stabilized"))
+        else:
+            kept.append(i)
+    return kept, excluded

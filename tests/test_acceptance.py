@@ -276,7 +276,7 @@ class TestCriterion10IntervalExactness:
             st.StationaryEstimate(lr, u, s, 0.0, 0.0, True)
             for lr, u, s in zip((1e-3, 1e-2, 1e-1), (1.0, 2.0, 3.0), (-10.0, -5.0, -2.0))
         ]
-        iv = st.estimate_temperature_interval(ests, 1, 0.0)
+        iv = st.temperature_curve(ests, 0.0).intervals[1]
         ok = (iv.t_lo == 0.2) and (iv.t_hi == 1 / 3) and not iv.empty
         report("10a hand interval equals [0.2, 1/3]", ok, f"[{iv.t_lo}, {iv.t_hi}]")
 
@@ -292,8 +292,7 @@ class TestCriterion10IntervalExactness:
                                     rng.uniform(0, 2, n), np.sort(rng.uniform(-4, 4, n)))
             ]
             eps = float(rng.choice([0.0, 0.1]))
-            for target in range(n):
-                iv = st.estimate_temperature_interval(ests, target, eps)
+            for target, iv in enumerate(st.temperature_curve(ests, eps).intervals):
                 if iv.empty:
                     continue
 

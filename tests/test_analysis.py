@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sgdtherm as st
 from sgdtherm.errors import InvalidConfig
+
+import oracles
 
 
 def make_estimates(losses, entropies, lrs=None, stabilized=True):
@@ -150,32 +153,25 @@ class TestExtractStationary:
 class TestTemperatureInterval:
     def test_hand_example_middle(self):
         ests = make_estimates([1.0, 2.0, 3.0], [-10.0, -5.0, -2.0])
-        iv = st.estimate_temperature_interval(ests, 1, 0.0)
+        iv = st.temperature_curve(ests, 0.0).intervals[1]
         assert not iv.empty
         assert iv.t_lo == 0.2
         assert iv.t_hi == 1 / 3
 
     def test_hand_example_first_is_upper_bound_only(self):
         ests = make_estimates([1.0, 2.0, 3.0], [-10.0, -5.0, -2.0])
-        iv = st.estimate_temperature_interval(ests, 0, 0.0)
+        iv = st.temperature_curve(ests, 0.0).intervals[0]
         assert iv.t_lo == 0.0
         assert iv.t_hi == 0.2
 
     def test_identical_pairs_are_unconstrained(self):
-        ests = make_estimates([1.0, 1.0], [4.0, 4.0])
-        for target in (0, 1):
-            iv = st.estimate_temperature_interval(ests, target, 0.0)
+        ests = make_estimates([1.0, 1.0, 1.0], [4.0, 4.0, 4.0])
+        for iv in st.temperature_curve(ests, 0.0).intervals:
             assert iv.t_lo == 0.0 and iv.t_hi == math.inf and not iv.empty
-
-    @pytest.mark.parametrize("target", [-1, 3])
-    def test_target_index_out_of_range_rejected(self, target):
-        ests = make_estimates([1.0, 2.0, 3.0], [-10.0, -5.0, -2.0])
-        with pytest.raises(InvalidConfig, match=f"target_index {target} out of range"):
-            st.estimate_temperature_interval(ests, target, 0.0)
 
     def test_nonconvex_point_yields_empty(self):
         ests = make_estimates([0.0, 5.0, 2.0], [0.0, 1.0, 2.0])
-        iv = st.estimate_temperature_interval(ests, 1, 0.1)
+        iv = st.temperature_curve(ests, 0.1).intervals[1]
         assert iv.empty
 
     def test_randomized_soundness_and_exactness(self):
@@ -186,8 +182,7 @@ class TestTemperatureInterval:
             n = int(rng.integers(3, 9))
             ests = make_estimates(rng.uniform(0, 3, n), np.sort(rng.uniform(-5, 5, n)))
             eps = float(rng.choice([0.0, 0.05, 0.3]))
-            for target in range(n):
-                iv = st.estimate_temperature_interval(ests, target, eps)
+            for target, iv in enumerate(st.temperature_curve(ests, eps).intervals):
                 if iv.empty:
                     continue
                 candidates = [iv.t_lo, iv.midpoint, iv.t_hi]
@@ -205,6 +200,40 @@ class TestTemperatureInterval:
                     assert violated(iv.t_lo - delta)
                 if math.isfinite(iv.t_hi):
                     assert violated(iv.t_hi + delta)
+
+    def test_matches_per_target_reference(self):
+        """The array pass gives every interval of the one-constraint-at-a-time loop, bit for bit.
+
+        Values on a 0.1 grid make U and S tie, and both U and S hold -0.0 and
+        0.0, so a bound can be either zero.  S is not sorted by lr, and at every
+        epsilon some intervals come out empty.
+        """
+        rng = np.random.default_rng(18)
+        seen = {"empty": 0, "entropy tie": 0, "loss tie": 0, "unsorted S": 0, "U = -0.0": 0}
+        for trial in range(6000):
+            n = int(rng.integers(2, 12)) if trial % 3 else int(rng.integers(3, 6))
+            u = np.round(rng.uniform(-0.2, 2, n), 1)
+            s = np.round(rng.uniform(-1, 1, n), 1)
+            eps = [0.0, 0.01, 0.05, 0.3][trial % 4]
+            ests = make_estimates(u, s)
+            expected = oracles.temperature_intervals_reference(ests, eps)
+            if n < 3:
+                with pytest.raises(InvalidConfig, match=f"need >= 3 estimates, got {n}"):
+                    st.temperature_curve(ests, eps)
+                continue
+            got = st.temperature_curve(ests, eps).intervals
+            assert [_bits(iv) for iv in got] == [_bits(iv) for iv in expected], (u, s, eps)
+            seen["empty"] += any(iv.empty for iv in got)
+            seen["entropy tie"] += len(set(s)) < n
+            seen["loss tie"] += len(set(u)) < n
+            seen["unsorted S"] += bool(np.any(np.diff(s) < 0))
+            seen["U = -0.0"] += bool(np.any(np.signbit(u) & (u == 0)))
+        assert min(seen.values()) >= 500, seen
+
+
+def _bits(iv):
+    """Every field of an interval, its floats by repr: -0.0 differs from 0.0, and nan equals nan."""
+    return iv.lr, repr(iv.t_lo), repr(iv.t_hi), iv.bound_only, iv.empty
 
 
 class TestTemperatureCurve:
@@ -282,7 +311,7 @@ class TestFreeEnergyCurve:
 
     def test_interval_temperature_recovers_target(self):
         ests = make_estimates([1.0, 2.0, 3.0], [-10.0, -5.0, -2.0])
-        iv = st.estimate_temperature_interval(ests, 1, 0.0)
+        iv = st.temperature_curve(ests, 0.0).intervals[1]
         f, argmin = st.free_energy_curve(ests, iv.midpoint)
         assert argmin == 1
 
@@ -295,8 +324,9 @@ class TestFreeEnergyCurve:
             u = np.cumsum(np.concatenate([[0.0], np.sort(rng.uniform(0.1, 2, n - 1))
                                           * np.diff(s)]))  # convex: increasing slopes
             ests = make_estimates(u, s)
+            intervals = st.temperature_curve(ests, 0.0).intervals
             for target in range(1, n - 1):
-                iv = st.estimate_temperature_interval(ests, target, 0.0)
+                iv = intervals[target]
                 if iv.empty or not iv.t_lo < iv.midpoint < iv.t_hi:
                     continue
                 _, argmin = st.free_energy_curve(ests, iv.midpoint)
@@ -404,3 +434,58 @@ class TestSelectStationaryRange:
         )
         assert kept == [1, 2, 3, 4]
         assert all("range" in r for _, r in excluded)
+
+    def test_non_finite_rows_are_excluded_first(self):
+        """A row without a finite U and S gets its own reason and never starts the saturation
+        scan, even where |S - baseline| <= sigma would hold for it (inf <= inf)."""
+        ests = self._estimates()
+        ests[1] = replace(ests[1], entropy_mean=math.inf, entropy_std=math.inf)
+        ests[2] = replace(ests[2], entropy_mean=-math.inf, entropy_std=math.inf)
+        ests[3] = replace(ests[3], loss_mean=math.nan)
+        kept, excluded = st.select_stationary_range(ests, baseline_entropy=10.1)
+        assert kept == [0, 4]
+        assert excluded == [
+            (ests[1].lr, "no stationary estimate"),
+            (ests[2].lr, "collapsed to a point (S = -inf)"),
+            (ests[3].lr, "no stationary estimate"),
+            (ests[5].lr, "entropy saturated at the uniform-sphere baseline"),
+        ]
+        kept, excluded = st.select_stationary_range(ests, 0.0, lr_range=(ests[0].lr, ests[3].lr))
+        assert kept == [0]
+        assert [reason for _, reason in excluded][-2:] == ["outside configured lr range"] * 2
+
+    def test_matches_two_pass_reference(self):
+        """Setting aside the non-finite rows first and mapping the rest back gives the same
+        retained rows and the same exclusions, in sorted order."""
+        rng = np.random.default_rng(30)
+        specials = [math.nan, math.inf, -math.inf]
+        seen = {"kept": 0, "non-finite": 0, "saturated": 0, "lr range": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, 10))
+            lrs = np.geomspace(1e-3, 1.0, n)
+
+            def value(scale):
+                return float(rng.choice(specials)) if rng.random() < 0.2 else float(
+                    np.round(rng.uniform(-scale, scale), 1))
+            ests = [st.StationaryEstimate(
+                lr=float(lr), loss_mean=value(1.0), entropy_mean=value(3.0), loss_std=0.01,
+                entropy_std=float(rng.choice([0.0, 0.2, 1.0, math.nan, math.inf])),
+                stabilized=bool(rng.random() < 0.8)) for lr in lrs]
+            lr_range = None
+            if rng.random() < 0.3:
+                lo, hi = np.sort(rng.choice(lrs, 2))
+                lr_range = (float(lo), float(hi))
+            base = float(np.round(rng.uniform(-3, 3), 1))
+            kept, excluded = st.select_stationary_range(ests, base, 0.1, lr_range)
+            ref_kept, ref_excluded = oracles.select_stationary_range_reference(
+                ests, base, 0.1, lr_range)
+            assert [ests[i] for i in kept] == ref_kept
+            assert sorted(excluded) == sorted(ref_excluded)
+            assert [lr for lr, _ in excluded] == sorted(lr for lr, _ in excluded)
+            reasons = {reason for _, reason in excluded}
+            seen["kept"] += bool(kept)
+            seen["non-finite"] += bool(reasons & {"no stationary estimate",
+                                                  "collapsed to a point (S = -inf)"})
+            seen["saturated"] += "entropy saturated at the uniform-sphere baseline" in reasons
+            seen["lr range"] += "outside configured lr range" in reasons
+        assert min(seen.values()) >= 300, seen

@@ -119,6 +119,13 @@ baseline_seeds = 2
 """
 
 
+def _set_cell(line: str, column: int, value: str) -> str:
+    """A CSV line with its cell at `column` replaced by `value`."""
+    cells = line.split(",")
+    cells[column] = value
+    return ",".join(cells)
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -864,6 +871,10 @@ class TestMainEntryPoint:
         ("series_02_*.csv", lambda lines: [lines[0], lines[2].split(",")[0] + lines[1][lines[1].index(","):],
                                            *lines[2:]],
          "line 3: 'iter' cell"),
+        ("series_01_*.csv", lambda lines: [*lines[:-2], _set_cell(lines[-2], 1, ""), lines[-1]],
+         "line 64: 'loss' cell nan is not finite"),
+        ("series_00_*.csv", lambda lines: [lines[0], _set_cell(lines[1], 2, "nan"), *lines[2:]],
+         "line 2: 'full_grad_norm' cell nan is not finite"),
         ("baseline.csv", None, "file not found"),
         ("baseline.csv", lambda lines: lines[:4], "expected 4 finite S values"),
         ("baseline.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]],
@@ -873,7 +884,8 @@ class TestMainEntryPoint:
     ], ids=["renamed-summary-column", "non-numeric-summary-cell", "non-boolean-summary-cell",
             "summary-last-row-deleted", "summary-first-row-deleted", "summary-row-appended",
             "nan-summary-lr", "short-series-row", "not-utf8-series", "reversed-series-rows",
-            "negative-first-iter", "nan-first-iter", "zero-first-iter", "duplicated-first-iter", "missing-baseline",
+            "negative-first-iter", "nan-first-iter", "zero-first-iter", "duplicated-first-iter",
+            "blank-series-loss", "nan-series-grad-norm", "missing-baseline",
             "short-baseline", "nan-baseline-entropy", "unparsable-baseline-entropy"])
     def test_malformed_experiment_exits_2(self, tmp_path, capsys, small_experiment, pattern, edit,
                                           message):
